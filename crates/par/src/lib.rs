@@ -39,11 +39,11 @@
 //! one examine batch per axiom — no shared plan is materialized before
 //! workers start, and each axiom's [`SuiteSink::run_done`] fires the
 //! moment its schedule retires (the per-axiom seal + push-on-seal
-//! hook). Partition splitting is *mass-balanced* by default: the exact
+//! hook). Partition splitting is *mass-balanced*: the exact
 //! shape-combination node count below every prefix is memoized
 //! ([`EnumSpace::balanced_for_target`]), so work units carry comparable
 //! enumeration work instead of whatever a fixed-depth split happens to
-//! produce ([`transform_synth::programs::Balance`] selects the mode).
+//! produce.
 //! The pre-streaming two-phase path ([`synthesize_suite_jobs_eager`],
 //! [`synthesize_all_jobs_eager`]: full plan first via [`plan_par`],
 //! then `(axiom, shard)` tasks on the [`shard::WorkQueue`]) is kept as
@@ -86,7 +86,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 use transform_core::axiom::Mtm;
-use transform_synth::programs::{Balance, EnumSpace, KeyedProgram};
+use transform_synth::programs::{EnumSpace, KeyedProgram};
 use transform_synth::{
     branches_co_pa, Examiner, ShardStats, Suite, SuiteRecord, SuiteStats, SynthOptions, SynthPlan,
     SynthesizedElt,
@@ -95,7 +95,7 @@ use transform_synth::{
 pub use progress::{
     AxiomSnapshot, AxiomState, JournalEvent, JournalEventKind, ProgressSnapshot, ProgressState,
 };
-pub use stream::{RunArtifacts, StreamMetrics, WarmParent, WarmSeed};
+pub use stream::StreamMetrics;
 
 /// Shards per worker: enough granularity for stealing to balance uneven
 /// shards without shrinking them into solver-reuse-defeating slivers.
@@ -111,26 +111,11 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Builds the enumeration space for a `jobs`-worker run under the
-/// configured balance mode: mass-estimated splitting aims the same
-/// `jobs × PARTITIONS_PER_WORKER` partition count as the depth split,
-/// but sizes each partition by its exact shape-combination node count.
+/// Builds the enumeration space for a `jobs`-worker run: mass-balanced
+/// splitting aims at `jobs × PARTITIONS_PER_WORKER` partitions, sizing
+/// each by its exact shape-combination node count.
 pub fn space_for(opts: &SynthOptions, jobs: usize) -> EnumSpace {
-    let target = jobs * PARTITIONS_PER_WORKER;
-    match opts.balance {
-        Balance::Mass => EnumSpace::balanced_for_target(&opts.enumeration, target),
-        Balance::Depth => EnumSpace::with_target_partitions(&opts.enumeration, target),
-    }
-}
-
-/// The exact enumeration-node count of the space `opts` describes.
-/// Node counts are partition-invariant (any `--jobs` or balance mode
-/// yields the same figure), so this is the cross-check a warm-start
-/// caller runs against a persisted admission digest before trusting
-/// it: a digest with any other node count belongs to different
-/// enumeration options and must not seed a warm run.
-pub fn enumeration_nodes(opts: &SynthOptions) -> u64 {
-    space_for(opts, 1).total_mass()
+    EnumSpace::balanced_for_target(&opts.enumeration, jobs * PARTITIONS_PER_WORKER)
 }
 
 /// Parallel plan construction over the prefix-partitioned enumeration:
@@ -495,29 +480,17 @@ pub fn synthesize_axioms_streamed_metrics(
     jobs: usize,
     sinks: &[&dyn SuiteSink],
 ) -> (Vec<SuiteStats>, StreamMetrics) {
-    let (stats, metrics, _) = stream::run_fused(mtm, axioms, opts, jobs, sinks, None, None);
-    (stats, metrics)
+    stream::run_fused(mtm, axioms, opts, jobs, sinks, None)
 }
 
-/// Like [`synthesize_axioms_streamed_metrics`] with the incremental
-/// cross-bound machinery exposed: an optional [`WarmSeed`] derived from
-/// a sealed bound-N−1 run warm-starts the pipeline (covered enumeration
-/// nodes replay the parent's admission digest instead of
-/// re-enumerating, fully covered partitions are skipped outright, and
-/// each parent suite is spliced back in as one synthetic shard), and
-/// the returned [`RunArtifacts`] carry this run's own digest — the seed
-/// of the *next* bound — plus, on warm runs, the parent-record index
-/// maps a delta store entry encodes. Warm output is byte-identical to
-/// the cold run's records and semantic totals at every worker count;
-/// only the scheduling-dependent shard breakdown (and `elapsed`)
-/// differs. `progress` is optional, exactly as in the `_observed`
-/// variant.
+/// Like [`synthesize_axioms_streamed_metrics`], with an optional live
+/// `progress` state exactly as in the `_observed` variant.
 ///
 /// # Panics
 ///
 /// Panics when any axiom is not part of `mtm`, `axioms` and `sinks`
-/// disagree in length, a warm seed's parent count disagrees with
-/// `axioms`, or `progress` is given but does not track every axiom.
+/// disagree in length, or `progress` is given but does not track every
+/// axiom.
 pub fn synthesize_axioms_streamed_incremental(
     mtm: &Mtm,
     axioms: &[&str],
@@ -525,9 +498,8 @@ pub fn synthesize_axioms_streamed_incremental(
     jobs: usize,
     sinks: &[&dyn SuiteSink],
     progress: Option<&std::sync::Arc<ProgressState>>,
-    warm: Option<&WarmSeed>,
-) -> (Vec<SuiteStats>, StreamMetrics, RunArtifacts) {
-    stream::run_fused(mtm, axioms, opts, jobs, sinks, progress, warm)
+) -> (Vec<SuiteStats>, StreamMetrics) {
+    stream::run_fused(mtm, axioms, opts, jobs, sinks, progress)
 }
 
 /// The fleet's per-worker entry: a fused run restricted to the
@@ -542,9 +514,7 @@ pub fn synthesize_axioms_streamed_incremental(
 ///
 /// `jobs` is this worker's local thread count and never affects the
 /// output; `plan_jobs` (fixed by the coordinator for the whole fleet)
-/// alone determines the partition shape. Range runs are always cold —
-/// fleet jobs carry no warm seed. The returned [`RunArtifacts`] hold
-/// this run's admission digest over `[0, range.1)` enumeration nodes.
+/// alone determines the partition shape.
 ///
 /// # Panics
 ///
@@ -559,18 +529,8 @@ pub fn synthesize_axioms_fused_range(
     jobs: usize,
     range: (usize, usize),
     sinks: &[&dyn SuiteSink],
-) -> (Vec<SuiteStats>, StreamMetrics, RunArtifacts) {
-    stream::run_fused_range(
-        mtm,
-        axioms,
-        opts,
-        plan_jobs,
-        jobs,
-        sinks,
-        None,
-        None,
-        Some(range),
-    )
+) -> (Vec<SuiteStats>, StreamMetrics) {
+    stream::run_fused_range(mtm, axioms, opts, plan_jobs, jobs, sinks, None, Some(range))
 }
 
 /// Like [`synthesize_axioms_streamed_metrics`], publishing live
@@ -591,9 +551,7 @@ pub fn synthesize_axioms_streamed_observed(
     sinks: &[&dyn SuiteSink],
     progress: &std::sync::Arc<ProgressState>,
 ) -> (Vec<SuiteStats>, StreamMetrics) {
-    let (stats, metrics, _) =
-        stream::run_fused(mtm, axioms, opts, jobs, sinks, Some(progress), None);
-    (stats, metrics)
+    stream::run_fused(mtm, axioms, opts, jobs, sinks, Some(progress))
 }
 
 /// The pre-streaming two-phase reference: the full plan is materialized

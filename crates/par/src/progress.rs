@@ -115,14 +115,6 @@ pub enum JournalEventKind {
     Seal,
     /// A sealed suite for `axiom` was pushed to a remote tier.
     Push,
-    /// The run warm-started from a cached smaller-bound suite: `a` =
-    /// covered recursion nodes (skipped, spliced from the parent), `b`
-    /// = parent plan items inherited, `c` = the parent bound.
-    WarmStart,
-    /// A partition every one of whose nodes the parent bound covers was
-    /// skipped without enumerating: `a` = its ordinal, `b` = its
-    /// covered node count.
-    WarmSkip,
     /// A fleet coordinator granted a partition-range lease: `a` = the
     /// job id, `b` = the packed range (`lo << 32 | hi`), `c` = the
     /// lease id.
@@ -140,7 +132,9 @@ pub enum JournalEventKind {
 
 impl JournalEventKind {
     /// The wire byte of the kind (stable across releases — the journal
-    /// codec persists it).
+    /// codec persists it). Codes 10 and 11 belonged to the retired
+    /// warm-start events and are never reused: a journal carrying them
+    /// fails to decode instead of being misread.
     pub fn as_u8(self) -> u8 {
         match self {
             JournalEventKind::RunStart => 0,
@@ -153,8 +147,6 @@ impl JournalEventKind {
             JournalEventKind::RunEnd => 7,
             JournalEventKind::Seal => 8,
             JournalEventKind::Push => 9,
-            JournalEventKind::WarmStart => 10,
-            JournalEventKind::WarmSkip => 11,
             JournalEventKind::LeaseGranted => 12,
             JournalEventKind::LeaseExpired => 13,
             JournalEventKind::ShardUploaded => 14,
@@ -175,8 +167,6 @@ impl JournalEventKind {
             7 => JournalEventKind::RunEnd,
             8 => JournalEventKind::Seal,
             9 => JournalEventKind::Push,
-            10 => JournalEventKind::WarmStart,
-            11 => JournalEventKind::WarmSkip,
             12 => JournalEventKind::LeaseGranted,
             13 => JournalEventKind::LeaseExpired,
             14 => JournalEventKind::ShardUploaded,
@@ -198,8 +188,6 @@ impl JournalEventKind {
             JournalEventKind::RunEnd => "run_end",
             JournalEventKind::Seal => "seal",
             JournalEventKind::Push => "push",
-            JournalEventKind::WarmStart => "warm_start",
-            JournalEventKind::WarmSkip => "warm_skip",
             JournalEventKind::LeaseGranted => "lease_granted",
             JournalEventKind::LeaseExpired => "lease_expired",
             JournalEventKind::ShardUploaded => "shard_uploaded",
@@ -609,8 +597,6 @@ mod tests {
             JournalEventKind::RunEnd,
             JournalEventKind::Seal,
             JournalEventKind::Push,
-            JournalEventKind::WarmStart,
-            JournalEventKind::WarmSkip,
             JournalEventKind::LeaseGranted,
             JournalEventKind::LeaseExpired,
             JournalEventKind::ShardUploaded,
@@ -620,6 +606,9 @@ mod tests {
             assert!(!kind.name().is_empty());
         }
         assert_eq!(JournalEventKind::from_u8(250), None);
+        // The retired warm-start codes stay unassigned.
+        assert_eq!(JournalEventKind::from_u8(10), None);
+        assert_eq!(JournalEventKind::from_u8(11), None);
     }
 
     #[test]

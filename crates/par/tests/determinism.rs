@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use transform_par::{synthesize_all_jobs, synthesize_suite_jobs};
-use transform_synth::{Backend, Balance, Suite, SynthOptions};
+use transform_synth::{Backend, Suite, SynthOptions};
 use transform_x86::x86t_elt;
 
 /// A byte-exact rendering of everything user-visible in a suite: the
@@ -126,22 +126,17 @@ fn partition_sizes_never_change_the_suite() {
 #[test]
 fn streamed_bound_5_suite_is_byte_identical_to_sequential() {
     // The acceptance bar for the fused pipeline: an engine-level run at
-    // bound 5 reproduces the sequential suite exactly, under both
-    // balance modes and a pinned partition size.
+    // bound 5 reproduces the sequential suite exactly, under several
+    // partition shapes (worker counts) and a pinned partition size.
     let mtm = x86t_elt();
     let o = opts(5, Backend::Explicit);
     let sequential = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 1);
     assert!(!sequential.elts.is_empty());
-    for (balance, partition_size) in [
-        (Balance::Mass, None),
-        (Balance::Depth, None),
-        (Balance::Mass, Some(13)),
-    ] {
+    for (jobs, partition_size) in [(4, None), (3, None), (4, Some(13))] {
         let mut o = opts(5, Backend::Explicit);
-        o.balance = balance;
         o.partition_size = partition_size;
-        let streamed = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 4);
-        let tag = format!("balance={balance:?} partition_size={partition_size:?}");
+        let streamed = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, jobs);
+        let tag = format!("jobs={jobs} partition_size={partition_size:?}");
         assert_eq!(fingerprint(&sequential), fingerprint(&streamed), "{tag}");
         assert_eq!(sequential.stats.programs, streamed.stats.programs, "{tag}");
         assert_eq!(
@@ -157,24 +152,24 @@ fn streamed_bound_5_suite_is_byte_identical_to_sequential() {
 }
 
 #[test]
-fn balance_modes_are_byte_identical() {
-    // Mass-estimated and depth splitting are pure scheduling: same
-    // suite, byte for byte, as the sequential engine — on both
-    // backends.
+fn partition_shapes_are_byte_identical_on_both_backends() {
+    // The partition split (set by the worker count) and the batch size
+    // are pure scheduling: same suite, byte for byte, as the
+    // sequential engine — on both backends.
     let mtm = x86t_elt();
     for backend in [Backend::Explicit, Backend::Relational] {
         let reference = {
             let o = opts(4, backend);
             fingerprint(&synthesize_suite_jobs(&mtm, "invlpg", &o, 1))
         };
-        for balance in [Balance::Mass, Balance::Depth] {
+        for (jobs, partition_size) in [(4, None), (7, None), (4, Some(3))] {
             let mut o = opts(4, backend);
-            o.balance = balance;
-            let suite = synthesize_suite_jobs(&mtm, "invlpg", &o, 4);
+            o.partition_size = partition_size;
+            let suite = synthesize_suite_jobs(&mtm, "invlpg", &o, jobs);
             assert_eq!(
                 reference,
                 fingerprint(&suite),
-                "{backend:?} balance={balance:?}"
+                "{backend:?} jobs={jobs} partition_size={partition_size:?}"
             );
         }
     }
@@ -282,19 +277,17 @@ proptest! {
         );
     }
 
-    /// Jobs × partition size × balance mode, through the fused
-    /// all-axiom run: every per-axiom suite stays the sequential one.
+    /// Jobs × partition size, through the fused all-axiom run: every
+    /// per-axiom suite stays the sequential one.
     #[test]
-    fn fused_all_jobs_partition_balance_grid_stays_deterministic(
+    fn fused_all_jobs_partition_grid_stays_deterministic(
         jobs in 2usize..10,
         partition_size in 0usize..48,
-        depth_balance in any::<bool>(),
     ) {
         let mtm = x86t_elt();
         let mut o = opts(4, Backend::Explicit);
         // 0 stands in for "autotune" (the engine takes None).
         o.partition_size = (partition_size > 0).then_some(partition_size);
-        o.balance = if depth_balance { Balance::Depth } else { Balance::Mass };
         let fused = synthesize_all_jobs(&mtm, &o, jobs);
         for ax in mtm.axioms() {
             let reference = {
@@ -304,8 +297,8 @@ proptest! {
             prop_assert_eq!(
                 reference,
                 fingerprint(&fused[&ax.name]),
-                "{} jobs={} partition_size={:?} balance={:?}",
-                &ax.name, jobs, partition_size, o.balance
+                "{} jobs={} partition_size={:?}",
+                &ax.name, jobs, partition_size
             );
         }
     }

@@ -17,7 +17,7 @@
 //! the spec so a worker needs no other state), run the fused pipeline
 //! range-restricted, and upload one [`ShardResult`] per range: the
 //! per-axiom records and counters for exactly the plan items admitted
-//! in `[lo, hi)`, plus that range's slice of the admission digest.
+//! in `[lo, hi)`.
 //! Results are content-checksummed and staged idempotently
 //! ([`Store::stage_shard`]): a retried or duplicate upload of the same
 //! range is a no-op, a conflicting one is rejected.
@@ -30,23 +30,28 @@
 //! count, upload order, retries, or lease reassignment.
 
 use crate::codec::{
-    decode_record, decode_shard_stats, encode_record, encode_shard_stats, fnv1a64, CodecError,
-    Dec, Enc, FORMAT_VERSION,
+    decode_record, decode_shard_stats, encode_record, encode_shard_stats, fnv1a64, CodecError, Dec,
+    Enc,
 };
-use crate::delta::Digest;
 use crate::fingerprint::Fingerprint;
 use crate::store::{EntryMeta, Store, StoreError};
 use std::fs;
 use std::path::PathBuf;
 use std::time::Duration;
 use transform_par::SuiteSink;
-use transform_synth::{
-    Backend, Balance, EnumOptions, ShardStats, SuiteRecord, SuiteStats, SynthOptions,
-};
+use transform_synth::{Backend, EnumOptions, ShardStats, SuiteRecord, SuiteStats, SynthOptions};
 
 const JOB_MAGIC: &[u8; 8] = b"TFJOBSP\0";
 const SHARD_RESULT_MAGIC: &[u8; 8] = b"TFSHRES\0";
 const LEASE_MAGIC: &[u8; 8] = b"TFLEASE\0";
+
+/// The version of the fleet frames ([`JobSpec`], [`ShardResult`],
+/// [`LeaseGrant`]) — separate from the sealed-suite
+/// [`FORMAT_VERSION`](crate::codec::FORMAT_VERSION), so a wire change
+/// refuses stale coordinators and workers without orphaning sealed
+/// entries. Version 2 dropped the partition-balance flag and the
+/// per-node admission counts.
+pub const FLEET_FORMAT_VERSION: u32 = 2;
 
 /// Sanity cap on fleet collection lengths (axioms, ranges, records per
 /// shard); a real synthesis job is far below this.
@@ -85,8 +90,6 @@ pub struct JobSpec {
     pub symmetry_reduction: bool,
     /// The candidate-execution backend tag (`explicit`/`relational`).
     pub backend: String,
-    /// `true` for mass-balanced partitioning, `false` for depth.
-    pub mass_balance: bool,
     /// The worker count the partition plan was built for — fixes the
     /// partition shape fleet-wide; every worker must plan with this,
     /// not its local thread count.
@@ -104,7 +107,7 @@ impl JobSpec {
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.raw(JOB_MAGIC);
-        e.u32(FORMAT_VERSION);
+        e.u32(FLEET_FORMAT_VERSION);
         e.string(&self.mtm_name);
         e.string(&self.model);
         e.size(self.axioms.len());
@@ -126,7 +129,6 @@ impl JobSpec {
         e.boolean(self.allow_identity_remap);
         e.boolean(self.symmetry_reduction);
         e.string(&self.backend);
-        e.boolean(self.mass_balance);
         e.u32(self.plan_jobs);
         e.u64(self.lease_ttl_ms);
         e.size(self.ranges.len());
@@ -158,7 +160,6 @@ impl JobSpec {
         let allow_identity_remap = d.boolean()?;
         let symmetry_reduction = d.boolean()?;
         let backend = d.string()?;
-        let mass_balance = d.boolean()?;
         let plan_jobs = d.u32()?;
         let lease_ttl_ms = d.u64()?;
         let num_ranges = d.size_bounded(MAX_FLEET_LEN, "job ranges")?;
@@ -182,7 +183,6 @@ impl JobSpec {
             allow_identity_remap,
             symmetry_reduction,
             backend,
-            mass_balance,
             plan_jobs,
             lease_ttl_ms,
             ranges,
@@ -244,7 +244,6 @@ impl JobSpec {
             allow_identity_remap: e.allow_identity_remap,
             symmetry_reduction: e.symmetry_reduction,
             backend: crate::fingerprint::backend_tag(opts.backend).to_string(),
-            mass_balance: opts.balance == Balance::Mass,
             plan_jobs,
             lease_ttl_ms,
             ranges: balanced_ranges(&space.masses(), chunks),
@@ -300,11 +299,6 @@ impl JobSpec {
             backend,
             timeout: None,
             partition_size: None,
-            balance: if self.mass_balance {
-                Balance::Mass
-            } else {
-                Balance::Depth
-            },
         })
     }
 
@@ -326,8 +320,7 @@ impl JobSpec {
 }
 
 /// One leased range's complete output: per-axiom records and counters
-/// for the plan items admitted in `[lo, hi)`, plus that range's slice
-/// of the admission digest.
+/// for the plan items admitted in `[lo, hi)`.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ShardResult {
     /// The job this shard belongs to.
@@ -336,14 +329,11 @@ pub struct ShardResult {
     pub lo: u32,
     /// One past the last partition of the leased range.
     pub hi: u32,
-    /// Programs admitted to the plan within `[lo, hi)` — summed across
-    /// ranges this reconstructs the suite's `programs` total.
+    /// Programs admitted to the plan over the prefix `[0, hi)`: a range
+    /// run admits its whole prefix to keep plan indices global, so the
+    /// range ending at the last partition carries the suite's
+    /// `programs` total.
     pub programs: usize,
-    /// This range's slice of the run's admission digest: per
-    /// enumeration node in admission order, (programs admitted, plan
-    /// items created). Concatenated across ranges this reconstructs
-    /// the full digest a warm start replays.
-    pub node_counts: Vec<(u64, u64)>,
     /// One entry per run axiom, in run-axiom order.
     pub per_axiom: Vec<AxiomShard>,
 }
@@ -364,16 +354,11 @@ impl ShardResult {
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.raw(SHARD_RESULT_MAGIC);
-        e.u32(FORMAT_VERSION);
+        e.u32(FLEET_FORMAT_VERSION);
         e.u64(self.job);
         e.u32(self.lo);
         e.u32(self.hi);
         e.size(self.programs);
-        e.size(self.node_counts.len());
-        for &(admitted, items) in &self.node_counts {
-            e.varint(admitted);
-            e.varint(items);
-        }
         e.size(self.per_axiom.len());
         for ax in &self.per_axiom {
             encode_shard_stats(&mut e, &ax.stats);
@@ -397,13 +382,6 @@ impl ShardResult {
             return Err(CodecError::new(format!("empty shard range {lo}..{hi}")));
         }
         let programs = d.size()?;
-        let num_nodes = d.size_bounded(MAX_FLEET_LEN, "shard node counts")?;
-        let mut node_counts = Vec::with_capacity(num_nodes);
-        for _ in 0..num_nodes {
-            let admitted = d.varint()?;
-            let items = d.varint()?;
-            node_counts.push((admitted, items));
-        }
         let num_axioms = d.size_bounded(MAX_FLEET_LEN, "shard axioms")?;
         let mut per_axiom = Vec::with_capacity(num_axioms);
         for _ in 0..num_axioms {
@@ -424,7 +402,6 @@ impl ShardResult {
             lo,
             hi,
             programs,
-            node_counts,
             per_axiom,
         })
     }
@@ -455,7 +432,7 @@ impl LeaseGrant {
     pub fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         e.raw(LEASE_MAGIC);
-        e.u32(FORMAT_VERSION);
+        e.u32(FLEET_FORMAT_VERSION);
         e.u64(self.lease);
         e.u64(self.job);
         e.u32(self.lo);
@@ -482,7 +459,9 @@ impl LeaseGrant {
             return Err(CodecError::new("trailing bytes after lease grant"));
         }
         if spec.id() != job {
-            return Err(CodecError::new("lease grant job id does not match its spec"));
+            return Err(CodecError::new(
+                "lease grant job id does not match its spec",
+            ));
         }
         if !spec.ranges.contains(&(lo, hi)) {
             return Err(CodecError::new(format!(
@@ -510,11 +489,7 @@ fn seal_frame(e: Enc) -> Vec<u8> {
 
 /// Validates magic, version, and trailing checksum; returns a cursor
 /// over the payload between them.
-fn open_frame<'a>(
-    bytes: &'a [u8],
-    magic: &[u8; 8],
-    what: &str,
-) -> Result<Dec<'a>, CodecError> {
+fn open_frame<'a>(bytes: &'a [u8], magic: &[u8; 8], what: &str) -> Result<Dec<'a>, CodecError> {
     if bytes.len() < magic.len() + 4 + 8 {
         return Err(CodecError::new(format!("{what} truncated")));
     }
@@ -528,9 +503,9 @@ fn open_frame<'a>(
         return Err(CodecError::new(format!("bad {what} magic")));
     }
     let version = d.u32()?;
-    if version != FORMAT_VERSION {
+    if version != FLEET_FORMAT_VERSION {
         return Err(CodecError::new(format!(
-            "{what} format version {version}, expected {FORMAT_VERSION}"
+            "{what} format version {version}, expected {FLEET_FORMAT_VERSION}"
         )));
     }
     Ok(d)
@@ -557,7 +532,8 @@ impl Store {
     }
 
     fn fleet_shard_path(&self, job: u64, lo: u32, hi: u32) -> PathBuf {
-        self.fleet_dir(job).join(format!("shard-{lo:08}-{hi:08}.bin"))
+        self.fleet_dir(job)
+            .join(format!("shard-{lo:08}-{hi:08}.bin"))
     }
 
     /// Stages one uploaded shard result idempotently.
@@ -668,10 +644,7 @@ impl Store {
 /// shard merge with the range ordinal as the shard index, then sealed
 /// with the exact summed statistics — so the sealed entry is
 /// byte-identical (fingerprint, records, counters; all but wall-clock)
-/// to a single-machine fused run of the same plan. Each axiom also
-/// gets the full admission [`Digest`] (the ranges' `node_counts`
-/// concatenated), so the fleet-sealed entry can seed a bound-N+1 warm
-/// start exactly like a local one.
+/// to a single-machine fused run of the same plan.
 ///
 /// `elapsed` is the job's wall-clock as observed by the coordinator;
 /// it lands in the sealed [`SuiteStats`] but never in the fingerprint.
@@ -698,15 +671,9 @@ pub fn merge_fleet_job(
         }
         results.push(result);
     }
-    let total_programs: usize = results.iter().map(|r| r.programs).sum();
-    let mut counts = Vec::new();
-    for result in &results {
-        counts.extend_from_slice(&result.node_counts);
-    }
-    let digest = Digest {
-        bound: spec.bound,
-        counts,
-    };
+    // The ranges tile the plan in order; the last one admitted the
+    // whole space.
+    let total_programs = results.last().map_or(0, |r| r.programs);
     let mut sealed = Vec::with_capacity(spec.axioms.len());
     for (ai, &(_, fp)) in spec.axioms.iter().enumerate() {
         let pending = store.begin(fp, spec.entry_meta(ai))?;
@@ -721,7 +688,6 @@ pub fn merge_fleet_job(
         let mut stats = SuiteStats::from_shards(total_programs, shards);
         stats.elapsed = elapsed;
         sealed.push(pending.seal(&stats)?);
-        store.write_digest(fp, &digest)?;
     }
     Ok(sealed)
 }
@@ -783,8 +749,7 @@ impl SuiteSink for CollectShard {
 ///
 /// The spec's `plan_jobs` (not `jobs`) fixes the partition shape, so
 /// every worker reproduces the same global plan regardless of local
-/// thread count; records are sorted by plan index and the range's
-/// slice of the admission digest is cut out of the run's artifacts.
+/// thread count; records are sorted by plan index.
 ///
 /// # Errors
 ///
@@ -817,7 +782,7 @@ pub fn execute_lease(grant: &LeaseGrant, jobs: usize) -> Result<ShardResult, Sto
     }
     let sinks: Vec<CollectShard> = axioms.iter().map(|_| CollectShard::default()).collect();
     let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
-    let (stats, _, artifacts) = transform_par::synthesize_axioms_fused_range(
+    let (stats, _) = transform_par::synthesize_axioms_fused_range(
         &mtm,
         &axioms,
         &opts,
@@ -826,17 +791,8 @@ pub fn execute_lease(grant: &LeaseGrant, jobs: usize) -> Result<ShardResult, Sto
         (lo, hi),
         &sink_refs,
     );
-    // The artifacts' digest covers every enumeration node in `[0, hi)`
-    // (the prefix is enumerated for global dedup); this range owns the
-    // slice past the `[0, lo)` nodes.
-    let masses = space.masses();
-    let skip: u64 = masses[..lo].iter().sum();
-    let node_counts: Vec<(u64, u64)> = artifacts
-        .node_counts
-        .get(skip as usize..)
-        .unwrap_or(&[])
-        .to_vec();
-    let programs: usize = node_counts.iter().map(|&(admitted, _)| admitted as usize).sum();
+    // Every axiom shares the run's admitter: its count covers `[0, hi)`.
+    let programs = stats.first().map_or(0, |s| s.programs);
     let per_axiom = stats
         .iter()
         .zip(sinks)
@@ -863,7 +819,6 @@ pub fn execute_lease(grant: &LeaseGrant, jobs: usize) -> Result<ShardResult, Sto
         lo: grant.lo,
         hi: grant.hi,
         programs,
-        node_counts,
         per_axiom,
     })
 }
@@ -893,7 +848,6 @@ mod tests {
             allow_identity_remap: false,
             symmetry_reduction: true,
             backend: "explicit".to_string(),
-            mass_balance: true,
             plan_jobs: 2,
             lease_ttl_ms: 10_000,
             ranges: vec![(0, 3), (3, 8)],
@@ -937,7 +891,6 @@ mod tests {
         assert!(!opts.enumeration.allow_fences);
         assert!(opts.enumeration.symmetry_reduction);
         assert_eq!(opts.backend, Backend::Explicit);
-        assert_eq!(opts.balance, Balance::Mass);
 
         let mut skewed = spec();
         skewed.backend = "quantum".to_string();
@@ -972,7 +925,6 @@ mod tests {
             lo,
             hi,
             programs: 5,
-            node_counts: vec![(2, 1), (3, 4)],
             per_axiom: vec![AxiomShard {
                 stats: ShardStats {
                     shard: usize::try_from(lo).expect("fits"),
@@ -999,14 +951,34 @@ mod tests {
         assert!(ShardResult::decode(truncated).is_err());
     }
 
+    /// A frame from a build with another fleet version — a stale worker
+    /// or coordinator — is refused with a version error, whatever its
+    /// checksum says.
+    #[test]
+    fn fleet_frames_of_another_version_are_refused() {
+        let restamp = |bytes: &[u8], version: u32| {
+            let body = &bytes[..bytes.len() - 8];
+            let mut e = Enc::new();
+            e.raw(&body[..8]);
+            e.u32(version);
+            e.raw(&body[12..]);
+            seal_frame(e)
+        };
+        let stale = crate::codec::FORMAT_VERSION;
+        assert_ne!(stale, FLEET_FORMAT_VERSION);
+        let shard_err = ShardResult::decode(&restamp(&shard(42, 0, 3).encode(), stale))
+            .expect_err("stale shard result");
+        assert!(shard_err.to_string().contains("version"), "{shard_err}");
+        let spec_err =
+            JobSpec::decode(&restamp(&spec().encode(), stale)).expect_err("stale job spec");
+        assert!(spec_err.to_string().contains("version"), "{spec_err}");
+    }
+
     #[test]
     fn staging_is_idempotent_and_conflict_safe() {
         let tag = "stage";
-        let dir = std::env::temp_dir().join(format!(
-            "tfs-fleet-{tag}-{}-{:p}",
-            std::process::id(),
-            &tag
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("tfs-fleet-{tag}-{}-{:p}", std::process::id(), &tag));
         let _ = std::fs::remove_dir_all(&dir);
         let store = Store::open(&dir).expect("store opens");
         let job = 42;
@@ -1038,7 +1010,10 @@ mod tests {
         assert!(store.stage_shard(job, 0, 3, b"junk").is_err());
 
         assert_eq!(store.staged_shards(job).expect("lists"), vec![(0, 3)]);
-        assert_eq!(store.read_shard(job, 0, 3).expect("reads"), shard(job, 0, 3));
+        assert_eq!(
+            store.read_shard(job, 0, 3).expect("reads"),
+            shard(job, 0, 3)
+        );
 
         store.clear_fleet_job(job).expect("clears");
         assert!(store.staged_shards(job).expect("lists").is_empty());

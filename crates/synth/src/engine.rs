@@ -27,7 +27,7 @@
 use crate::canon::canonical_key;
 use crate::execs;
 use crate::minimal::is_minimal;
-use crate::programs::{Balance, EnumOptions, Program};
+use crate::programs::{EnumOptions, Program};
 use crate::satgen;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
@@ -64,12 +64,6 @@ pub struct SynthOptions {
     /// never changes the synthesized suite, and is excluded from store
     /// fingerprints like `timeout` and the worker count.
     pub partition_size: Option<usize>,
-    /// How the streaming parallel engine splits the enumeration space
-    /// into work partitions ([`Balance::Mass`] by default). Pure
-    /// scheduling like `partition_size`: every mode yields the
-    /// byte-identical suite, and the knob is excluded from store
-    /// fingerprints.
-    pub balance: Balance,
 }
 
 impl SynthOptions {
@@ -80,7 +74,6 @@ impl SynthOptions {
             backend: Backend::Explicit,
             timeout: None,
             partition_size: None,
-            balance: Balance::default(),
         }
     }
 }

@@ -52,7 +52,5 @@ pub use engine::{
     suite_contains, synthesize_all, synthesize_suite, unique_union, Backend, Examined, Examiner,
     ShardStats, Suite, SuiteRecord, SuiteStats, SynthOptions, SynthPlan, SynthesizedElt, WorkItem,
 };
-pub use programs::{
-    Balance, EnumOptions, EnumSpace, KeyedProgram, PaRef, Program, ProgramStream, SlotOp,
-};
+pub use programs::{EnumOptions, EnumSpace, KeyedProgram, PaRef, Program, ProgramStream, SlotOp};
 pub use relax::Relaxation;
