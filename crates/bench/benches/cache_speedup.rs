@@ -1,4 +1,4 @@
-//! Warm-vs-cold suite cache: wall-clock of `cached_or_synthesize` when
+//! Warm-vs-cold suite cache: wall-clock of `TieredCache::serve` when
 //! the store is empty (synthesize + seal) versus sealed (stream the
 //! entry back). The paper's runs took up to a week per bound; the store
 //! turns every repeat into a read.
@@ -11,8 +11,10 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::path::PathBuf;
 use std::time::Instant;
-use transform_store::{cached_or_synthesize, Store};
-use transform_synth::SynthOptions;
+use transform_core::axiom::Mtm;
+use transform_par::Run;
+use transform_store::{CacheStatus, Store, TieredCache};
+use transform_synth::{Suite, SynthOptions};
 use transform_x86::x86t_elt;
 
 const BOUND: usize = 4;
@@ -21,6 +23,14 @@ const JOBS: usize = 2;
 
 fn opts() -> SynthOptions {
     SynthOptions::new(BOUND)
+}
+
+/// Serves the benchmarked suite through `cache`.
+fn serve_one(cache: &TieredCache, mtm: &Mtm) -> (Suite, CacheStatus) {
+    let mut served = cache
+        .serve(&Run::new(mtm, &[AXIOM], &opts(), JOBS))
+        .expect("the cache serves");
+    served.remove(AXIOM).expect("the run covers its axiom")
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -40,11 +50,10 @@ fn bench_cold(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let dir = fresh_dir("cold");
-                Store::open(&dir).expect("store opens")
+                TieredCache::new(Store::open(&dir).expect("store opens"))
             },
-            |store| {
-                let (suite, status) =
-                    cached_or_synthesize(&store, &mtm, AXIOM, &opts(), JOBS).expect("synthesizes");
+            |cache| {
+                let (suite, status) = serve_one(&cache, &mtm);
                 assert!(!status.is_hit());
                 suite.elts.len()
             },
@@ -58,14 +67,13 @@ fn bench_cold(c: &mut Criterion) {
 fn bench_warm(c: &mut Criterion) {
     let mtm = x86t_elt();
     let dir = fresh_dir("warm");
-    let store = Store::open(&dir).expect("store opens");
-    cached_or_synthesize(&store, &mtm, AXIOM, &opts(), JOBS).expect("seeds the entry");
+    let cache = TieredCache::new(Store::open(&dir).expect("store opens"));
+    serve_one(&cache, &mtm);
     let mut group = c.benchmark_group("cache_speedup");
     group.sample_size(50);
     group.bench_function("warm", |b| {
         b.iter(|| {
-            let (suite, status) =
-                cached_or_synthesize(&store, &mtm, AXIOM, &opts(), JOBS).expect("reads");
+            let (suite, status) = serve_one(&cache, &mtm);
             assert!(status.is_hit());
             suite.elts.len()
         })
@@ -77,11 +85,10 @@ fn bench_warm(c: &mut Criterion) {
 fn speedup_summary(_c: &mut Criterion) {
     let mtm = x86t_elt();
     let dir = fresh_dir("ratio");
-    let store = Store::open(&dir).expect("store opens");
+    let cache = TieredCache::new(Store::open(&dir).expect("store opens"));
 
     let start = Instant::now();
-    let (cold_suite, _) =
-        cached_or_synthesize(&store, &mtm, AXIOM, &opts(), JOBS).expect("cold run");
+    let (cold_suite, _) = serve_one(&cache, &mtm);
     let cold = start.elapsed();
 
     // Median of repeated warm reads, so one slow I/O outlier cannot
@@ -90,8 +97,7 @@ fn speedup_summary(_c: &mut Criterion) {
     let mut warm_len = 0;
     for _ in 0..9 {
         let start = Instant::now();
-        let (warm_suite, status) =
-            cached_or_synthesize(&store, &mtm, AXIOM, &opts(), JOBS).expect("warm run");
+        let (warm_suite, status) = serve_one(&cache, &mtm);
         warm_samples.push(start.elapsed());
         assert!(status.is_hit());
         warm_len = warm_suite.elts.len();

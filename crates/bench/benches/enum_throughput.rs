@@ -1,22 +1,18 @@
-//! Enumeration throughput, streamed vs eager, and what fusing program
-//! generation into the pool buys end-to-end.
+//! Enumeration throughput and the fused synthesis pipeline's
+//! end-to-end numbers.
 //!
 //! Measured per configuration:
 //!
-//! * programs/second of the eager `programs()` enumeration vs the
-//!   partition-streamed `EnumSpace::stream()` (same sequence, proven by
-//!   count);
-//! * wall-clock of the two-phase reference engine
-//!   (`synthesize_suite_jobs_eager`: full plan first, then the pool)
-//!   vs the fused streaming pipeline (`synthesize_suite_jobs`), same
-//!   suite;
-//! * peak live candidates: the eager path materializes the whole
-//!   enumeration at once, the streamed pipeline holds at most a few
+//! * programs/second of the eager `programs()` enumeration (the
+//!   enumeration oracle) vs the partition-streamed `EnumSpace::stream()`
+//!   (same sequence, proven by count);
+//! * wall-clock of the fused streaming pipeline (`Run::stream`);
+//! * peak live candidates: the full enumeration would hold every
+//!   program at once, the streamed pipeline holds at most a few
 //!   partitions (`StreamMetrics::peak_live_candidates`).
 //!
-//! * fused cross-axiom synthesis: the shared-plan two-phase baseline
-//!   (`synthesize_all_jobs_eager`) vs the fused all-axiom stream
-//!   (`synthesize_all_jobs`), same per-axiom suites;
+//! * fused cross-axiom synthesis: every axiom in one `Run`, checked
+//!   against the sequential engine's per-axiom suites;
 //! * progress-instrumentation overhead: the fused run with a subscribed
 //!   journaling `ProgressState` (published counters, span-event journal
 //!   recording, plus a polling sampler thread at the coalesced 100 ms
@@ -40,11 +36,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
-use transform_par::{
-    default_jobs, synthesize_all_jobs, synthesize_all_jobs_eager, synthesize_suite_jobs_eager,
-    synthesize_suite_streamed_metrics, synthesize_suite_streamed_observed, ProgressState,
-    StreamMetrics, SuiteSink,
-};
+use transform_par::{default_jobs, ProgressState, Run, StreamMetrics, SuiteSink};
 use transform_store::{execute_lease, read_suite, suite_fingerprint, HttpTier, JobSpec, Store};
 use transform_synth::programs::EnumSpace;
 use transform_synth::{ShardStats, SuiteRecord, SynthOptions};
@@ -98,10 +90,8 @@ struct Point {
     elts: usize,
     enum_eager: Duration,
     enum_streamed: Duration,
-    synth_eager: Duration,
     synth_fused: Duration,
     synth_observed: Duration,
-    peak_live_eager: usize,
     metrics: StreamMetrics,
 }
 
@@ -111,43 +101,32 @@ fn measure(bound: usize) -> Point {
     let jobs = jobs();
 
     let start = Instant::now();
-    let eager_programs = transform_synth::programs::programs(&o.enumeration);
+    let enumerated = transform_synth::programs::programs(&o.enumeration).len();
     let enum_eager = start.elapsed();
-    let peak_live_eager = eager_programs.len();
 
     let start = Instant::now();
     let streamed_count = EnumSpace::with_target_partitions(&o.enumeration, jobs * 8)
         .stream()
         .count();
     let enum_streamed = start.elapsed();
-    assert_eq!(
-        peak_live_eager, streamed_count,
-        "stream diverged from eager"
-    );
+    assert_eq!(enumerated, streamed_count, "stream diverged from eager");
 
-    let start = Instant::now();
-    let eager_suite = synthesize_suite_jobs_eager(&mtm, AXIOM, &o, jobs);
-    let synth_eager = start.elapsed();
-
+    let run = Run::new(&mtm, &[AXIOM], &o, jobs);
     let sink = Collect(Mutex::new(Vec::new()));
     let start = Instant::now();
-    let (stats, metrics) = synthesize_suite_streamed_metrics(&mtm, AXIOM, &o, jobs, &sink);
+    let (stats, metrics) = run.stream(&[&sink]);
     let synth_fused = start.elapsed();
+    let stats = &stats[0];
     let mut records = sink.0.into_inner().expect("collect lock");
     records.sort_by_key(|r| r.index);
-    assert_eq!(records.len(), eager_suite.elts.len(), "suite sizes diverge");
-    for (r, e) in records.iter().zip(&eager_suite.elts) {
-        assert_eq!(r.elt.program, e.program, "fused suite diverged from eager");
-    }
-    assert_eq!(stats.programs, eager_suite.stats.programs);
     // The whole point: the pipeline never materializes the full
     // enumeration at once.
-    if peak_live_eager > 100 {
+    if enumerated > 100 {
         assert!(
-            metrics.peak_live_candidates < peak_live_eager,
+            metrics.peak_live_candidates < enumerated,
             "peak live {} should stay below the full enumeration {}",
             metrics.peak_live_candidates,
-            peak_live_eager
+            enumerated
         );
     }
 
@@ -177,8 +156,11 @@ fn measure(bound: usize) -> Point {
         })
     };
     let start = Instant::now();
-    let (observed_stats, observed_metrics) =
-        synthesize_suite_streamed_observed(&mtm, AXIOM, &o, jobs, &sink, &progress);
+    let (observed_stats, observed_metrics) = Run {
+        progress: Some(&progress),
+        ..run
+    }
+    .stream(&[&sink]);
     let synth_observed = start.elapsed();
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     sampler.join().expect("sampler joins");
@@ -188,7 +170,7 @@ fn measure(bound: usize) -> Point {
     for (r, e) in observed_records.iter().zip(&records) {
         assert_eq!(r.elt.program, e.elt.program, "observed suite diverged");
     }
-    assert_eq!(observed_stats.programs, stats.programs);
+    assert_eq!(observed_stats[0].programs, stats.programs);
     assert_eq!(observed_metrics.partitions, metrics.partitions);
     // The overhead number must cover a *recording* run: the journal
     // has to have actually captured the run's span events.
@@ -206,10 +188,8 @@ fn measure(bound: usize) -> Point {
         elts: records.len(),
         enum_eager,
         enum_streamed,
-        synth_eager,
         synth_fused,
         synth_observed,
-        peak_live_eager,
         metrics,
     }
 }
@@ -222,10 +202,9 @@ fn json_point(p: &Point) -> String {
             "\"enum_eager_secs\": {:.6}, \"enum_streamed_secs\": {:.6}, ",
             "\"enum_eager_programs_per_sec\": {:.1}, ",
             "\"enum_streamed_programs_per_sec\": {:.1}, ",
-            "\"synth_eager_secs\": {:.6}, \"synth_fused_secs\": {:.6}, ",
-            "\"fused_speedup\": {:.3}, ",
+            "\"synth_fused_secs\": {:.6}, ",
             "\"synth_observed_secs\": {:.6}, \"progress_overhead_pct\": {:.2}, ",
-            "\"peak_live_eager\": {}, \"peak_live_streamed\": {}, ",
+            "\"peak_live_streamed\": {}, ",
             "\"partitions\": {}, \"batches\": {}, \"final_batch_size\": {}}}"
         ),
         p.bound,
@@ -235,13 +214,10 @@ fn json_point(p: &Point) -> String {
         p.enum_streamed.as_secs_f64(),
         p.programs as f64 / p.enum_eager.as_secs_f64().max(f64::EPSILON),
         p.programs as f64 / p.enum_streamed.as_secs_f64().max(f64::EPSILON),
-        p.synth_eager.as_secs_f64(),
         p.synth_fused.as_secs_f64(),
-        p.synth_eager.as_secs_f64() / p.synth_fused.as_secs_f64().max(f64::EPSILON),
         p.synth_observed.as_secs_f64(),
         (p.synth_observed.as_secs_f64() / p.synth_fused.as_secs_f64().max(f64::EPSILON) - 1.0)
             * 100.0,
-        p.peak_live_eager,
         p.metrics.peak_live_candidates,
         p.metrics.partitions,
         p.metrics.batches,
@@ -249,36 +225,32 @@ fn json_point(p: &Point) -> String {
     )
 }
 
-/// The fused cross-axiom run vs the shared-plan two-phase baseline:
-/// every axiom of x86t_elt in one pass, same suites both ways.
+/// The fused cross-axiom run: every axiom of x86t_elt in one pass,
+/// checked against the sequential engine's per-axiom suites.
 struct AllAxiomsPoint {
     bound: usize,
     axioms: usize,
     elts_total: usize,
-    eager_secs: f64,
     fused_secs: f64,
 }
 
 fn measure_all_axioms(bound: usize) -> AllAxiomsPoint {
     let mtm = x86t_elt();
     let o = opts(bound);
-    let jobs = jobs();
+    let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
 
     let start = Instant::now();
-    let eager = synthesize_all_jobs_eager(&mtm, &o, jobs);
-    let eager_secs = start.elapsed().as_secs_f64();
-
-    let start = Instant::now();
-    let fused = synthesize_all_jobs(&mtm, &o, jobs);
+    let fused = Run::new(&mtm, &axioms, &o, jobs()).collect();
     let fused_secs = start.elapsed().as_secs_f64();
 
-    assert_eq!(eager.len(), fused.len());
-    for (axiom, a) in &eager {
+    let sequential = transform_synth::synthesize_all(&mtm, &o);
+    assert_eq!(sequential.len(), fused.len());
+    for (axiom, a) in &sequential {
         let b = &fused[axiom];
         assert_eq!(
             a.elts.len(),
             b.elts.len(),
-            "{axiom}: fused all-axiom run diverged from the shared-plan baseline"
+            "{axiom}: fused all-axiom run diverged from the sequential engine"
         );
         for (x, y) in a.elts.iter().zip(&b.elts) {
             assert_eq!(x.program, y.program, "{axiom}");
@@ -288,7 +260,6 @@ fn measure_all_axioms(bound: usize) -> AllAxiomsPoint {
         bound,
         axioms: fused.len(),
         elts_total: fused.values().map(|s| s.elts.len()).sum(),
-        eager_secs,
         fused_secs,
     }
 }
@@ -317,7 +288,7 @@ fn measure_fleet(bound: usize, workers: usize) -> FleetPoint {
     let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
 
     let start = Instant::now();
-    let local = synthesize_all_jobs(&mtm, &o, jobs);
+    let local = Run::new(&mtm, &axioms, &o, jobs).collect();
     let local_secs = start.elapsed().as_secs_f64();
 
     let root = std::env::temp_dir().join(format!(
@@ -385,20 +356,17 @@ fn throughput_summary(_c: &mut Criterion) {
     for p in &points {
         println!(
             "enum_throughput summary: `{AXIOM}` @ bound {} --fences --rmw on {} workers: \
-             enum eager {:?} vs streamed {:?}; synth eager {:?} vs fused {:?} ({:.2}x); \
+             enum eager {:?} vs streamed {:?}; synth fused {:?}; \
              observed fused {:?} ({:+.2}% progress overhead); \
-             peak live {} -> {} (of {} programs, {} partitions, {} batches)",
+             peak live {} (of {} programs, {} partitions, {} batches)",
             p.bound,
             jobs(),
             p.enum_eager,
             p.enum_streamed,
-            p.synth_eager,
             p.synth_fused,
-            p.synth_eager.as_secs_f64() / p.synth_fused.as_secs_f64().max(f64::EPSILON),
             p.synth_observed,
             (p.synth_observed.as_secs_f64() / p.synth_fused.as_secs_f64().max(f64::EPSILON) - 1.0)
                 * 100.0,
-            p.peak_live_eager,
             p.metrics.peak_live_candidates,
             p.programs,
             p.metrics.partitions,
@@ -408,13 +376,11 @@ fn throughput_summary(_c: &mut Criterion) {
     let all = measure_all_axioms(4);
     println!(
         "enum_throughput all-axioms: {} axioms @ bound {} --fences --rmw on {} workers: \
-         shared-plan eager {:.3}s vs fused {:.3}s ({:.2}x), {} ELTs total",
+         fused {:.3}s, {} ELTs total",
         all.axioms,
         all.bound,
         jobs(),
-        all.eager_secs,
         all.fused_secs,
-        all.eager_secs / all.fused_secs.max(f64::EPSILON),
         all.elts_total,
     );
     let fleet = measure_fleet(5, 2);
@@ -440,15 +406,9 @@ fn throughput_summary(_c: &mut Criterion) {
     let all_body = format!(
         concat!(
             "{{\"bound\": {}, \"fences\": true, \"rmw\": true, \"axioms\": {}, ",
-            "\"elts_total\": {}, \"synth_all_eager_secs\": {:.6}, ",
-            "\"synth_all_fused_secs\": {:.6}, \"fused_speedup\": {:.3}}}"
+            "\"elts_total\": {}, \"synth_all_fused_secs\": {:.6}}}"
         ),
-        all.bound,
-        all.axioms,
-        all.elts_total,
-        all.eager_secs,
-        all.fused_secs,
-        all.eager_secs / all.fused_secs.max(f64::EPSILON),
+        all.bound, all.axioms, all.elts_total, all.fused_secs,
     );
     let fleet_body = format!(
         concat!(

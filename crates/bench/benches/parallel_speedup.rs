@@ -2,13 +2,13 @@
 //! orchestrator at jobs ∈ {1, 2, 8}, at a fixed bound, on both backends.
 //!
 //! Besides the per-point measurements, the run prints a one-line speedup
-//! summary (jobs=1 time over jobs=8 time). On a single-core host the
-//! ratio hovers around 1.0 — the orchestrator's overhead — and grows
-//! toward the core count on real hardware.
+//! summary (sequential-engine time over jobs=8 time). On a single-core
+//! host the ratio hovers around 1.0 — the orchestrator's overhead — and
+//! grows toward the core count on real hardware.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Instant;
-use transform_par::synthesize_suite_jobs;
+use transform_par::Run;
 use transform_synth::{Backend, SynthOptions};
 use transform_x86::x86t_elt;
 
@@ -34,7 +34,7 @@ fn bench_jobs_sweep(c: &mut Criterion) {
                 &jobs,
                 |b, &jobs| {
                     let o = opts(backend);
-                    b.iter(|| synthesize_suite_jobs(&mtm, AXIOM, &o, jobs))
+                    b.iter(|| Run::new(&mtm, &[AXIOM], &o, jobs).collect())
                 },
             );
         }
@@ -45,16 +45,17 @@ fn bench_jobs_sweep(c: &mut Criterion) {
 fn speedup_summary(_c: &mut Criterion) {
     let mtm = x86t_elt();
     let o = opts(Backend::Explicit);
-    let time = |jobs: usize| {
-        let start = Instant::now();
-        let suite = synthesize_suite_jobs(&mtm, AXIOM, &o, jobs);
-        (start.elapsed(), suite.elts.len())
-    };
-    let (t1, n1) = time(1);
-    let (t8, n8) = time(8);
+    let start = Instant::now();
+    let n1 = transform_synth::synthesize_suite(&mtm, AXIOM, &o)
+        .elts
+        .len();
+    let t1 = start.elapsed();
+    let start = Instant::now();
+    let n8 = Run::new(&mtm, &[AXIOM], &o, 8).collect()[AXIOM].elts.len();
+    let t8 = start.elapsed();
     assert_eq!(n1, n8, "parallel suite diverged from sequential");
     println!(
-        "parallel_speedup summary: `{AXIOM}` @ bound {BOUND}: jobs=1 {t1:?}, jobs=8 {t8:?} \
+        "parallel_speedup summary: `{AXIOM}` @ bound {BOUND}: sequential {t1:?}, jobs=8 {t8:?} \
          => {:.2}x on {} core(s)",
         t1.as_secs_f64() / t8.as_secs_f64().max(f64::EPSILON),
         transform_par::default_jobs(),

@@ -20,9 +20,11 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
+use transform_core::axiom::Mtm;
+use transform_par::Run;
 use transform_serve::{ServeOptions, Server, ServerHandle};
-use transform_store::{suite_fingerprint, HttpTier, Store, TieredCache};
-use transform_synth::SynthOptions;
+use transform_store::{suite_fingerprint, CacheStatus, HttpTier, Store, TieredCache};
+use transform_synth::{Suite, SynthOptions};
 use transform_x86::x86t_elt;
 
 const BOUND: usize = 4;
@@ -31,6 +33,14 @@ const JOBS: usize = 2;
 
 fn opts() -> SynthOptions {
     SynthOptions::new(BOUND)
+}
+
+/// Serves the benchmarked suite through `cache`.
+fn serve_one(cache: &TieredCache, mtm: &Mtm) -> (Suite, CacheStatus) {
+    let mut served = cache
+        .serve(&Run::new(mtm, &[AXIOM], &opts(), JOBS))
+        .expect("the cache serves");
+    served.remove(AXIOM).expect("the run covers its axiom")
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -48,9 +58,7 @@ fn spawn_server(tag: &str, seeded: bool) -> (ServerHandle, PathBuf) {
     let dir = fresh_dir(tag);
     if seeded {
         let store = Store::open(&dir).expect("store opens");
-        TieredCache::new(store)
-            .cached_or_synthesize(&x86t_elt(), AXIOM, &opts(), JOBS)
-            .expect("seeds the server store");
+        serve_one(&TieredCache::new(store), &x86t_elt());
     }
     let server = Server::bind(&dir, "127.0.0.1:0", ServeOptions::default()).expect("binds");
     (server.spawn(), dir)
@@ -77,9 +85,7 @@ fn bench_cold(c: &mut Criterion) {
                 fresh_dir("cold-local")
             },
             |local| {
-                let (suite, status) = tiered(&local, &url)
-                    .cached_or_synthesize(&mtm, AXIOM, &opts(), JOBS)
-                    .expect("synthesizes");
+                let (suite, status) = serve_one(&tiered(&local, &url), &mtm);
                 assert!(!status.is_hit() && !status.is_remote_hit());
                 suite.elts.len()
             },
@@ -102,9 +108,7 @@ fn bench_warm_remote(c: &mut Criterion) {
         b.iter_batched(
             || fresh_dir("warmr-local"),
             |local| {
-                let (suite, status) = tiered(&local, &url)
-                    .cached_or_synthesize(&mtm, AXIOM, &opts(), JOBS)
-                    .expect("fetches");
+                let (suite, status) = serve_one(&tiered(&local, &url), &mtm);
                 assert!(status.is_remote_hit());
                 suite.elts.len()
             },
@@ -123,16 +127,12 @@ fn bench_warm_local(c: &mut Criterion) {
     let url = handle.url();
     let local = fresh_dir("warml-local");
     let cache = tiered(&local, &url);
-    cache
-        .cached_or_synthesize(&mtm, AXIOM, &opts(), JOBS)
-        .expect("populates the local tier");
+    serve_one(&cache, &mtm);
     let mut group = c.benchmark_group("remote_cache");
     group.sample_size(50);
     group.bench_function("warm_local", |b| {
         b.iter(|| {
-            let (suite, status) = cache
-                .cached_or_synthesize(&mtm, AXIOM, &opts(), JOBS)
-                .expect("reads");
+            let (suite, status) = serve_one(&cache, &mtm);
             assert!(status.is_hit());
             suite.elts.len()
         })
@@ -154,9 +154,7 @@ fn serve_summary(_c: &mut Criterion) {
     let url = handle.url();
     let cold_local = fresh_dir("sum-cold");
     let start = Instant::now();
-    let (cold_suite, _) = tiered(&cold_local, &url)
-        .cached_or_synthesize(&mtm, AXIOM, &opts(), JOBS)
-        .expect("cold run");
+    let (cold_suite, _) = serve_one(&tiered(&cold_local, &url), &mtm);
     let cold = start.elapsed();
     let entry_bytes = Store::open(&server_dir)
         .expect("opens")
@@ -176,9 +174,7 @@ fn serve_summary(_c: &mut Criterion) {
         let local = fresh_dir(&format!("sum-warmr-{i}"));
         let cache = tiered(&local, &url);
         let start = Instant::now();
-        let (suite, status) = cache
-            .cached_or_synthesize(&mtm, AXIOM, &opts(), JOBS)
-            .expect("warm-remote run");
+        let (suite, status) = serve_one(&cache, &mtm);
         warm_remote_samples.push(start.elapsed());
         assert!(status.is_remote_hit());
         assert_eq!(suite.elts.len(), cold_suite.elts.len());
@@ -191,9 +187,7 @@ fn serve_summary(_c: &mut Criterion) {
     let mut warm_local_samples = Vec::new();
     for _ in 0..9 {
         let start = Instant::now();
-        let (suite, status) = cache
-            .cached_or_synthesize(&mtm, AXIOM, &opts(), JOBS)
-            .expect("warm-local run");
+        let (suite, status) = serve_one(&cache, &mtm);
         warm_local_samples.push(start.elapsed());
         assert!(status.is_hit());
         assert_eq!(suite.elts.len(), cold_suite.elts.len());

@@ -16,9 +16,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use transform_core::axiom::Mtm;
-use transform_par::{
-    synthesize_suite_jobs, synthesize_suite_jobs_observed, ProgressSnapshot, ProgressState,
-};
+use transform_par::{ProgressSnapshot, ProgressState, Run};
 use transform_store::{HttpTier, Store, TieredCache};
 use transform_synth::{Suite, SynthOptions};
 
@@ -175,65 +173,60 @@ pub fn sweep(mtm: &Mtm, cfg: &SweepConfig) -> Vec<SweepPoint> {
             opts.enumeration.allow_rmw = cfg.allow_rmw;
             opts.timeout = Some(cfg.budget);
             opts.partition_size = cfg.partition_size;
-            let suite = match cfg.progress {
-                None => match &cache {
-                    Some(cache) => {
-                        cache
-                            .cached_or_synthesize(mtm, &ax.name, &opts, cfg.jobs)
-                            .unwrap_or_else(|e| panic!("suite cache: {e}"))
-                            .0
-                    }
-                    None => synthesize_suite_jobs(mtm, &ax.name, &opts, cfg.jobs),
-                },
-                Some(mode) => {
-                    // One observed point: a per-point `ProgressState`
-                    // with a single axiom slot, sampled on a side
-                    // thread at the coalesced 100 ms cadence (hot
-                    // polling visibly taxes small runs — see the
-                    // `progress_overhead_pct` points in
-                    // `BENCH_enum.json`).
-                    let progress = Arc::new(ProgressState::new(&[ax.name.as_str()]));
-                    let stop = Arc::new(AtomicBool::new(false));
-                    let sampler = {
-                        let progress = Arc::clone(&progress);
-                        let stop = Arc::clone(&stop);
-                        std::thread::spawn(move || {
-                            while !stop.load(Ordering::Relaxed) {
-                                eprintln!(
-                                    "{}",
-                                    render_sample(mode, bound, &progress.snapshot(), false)
-                                );
-                                // Sleep the cadence in short slices so
-                                // a finished millisecond-scale point
-                                // isn't held hostage by the sampler.
-                                for _ in 0..10 {
-                                    if stop.load(Ordering::Relaxed) {
-                                        break;
-                                    }
-                                    std::thread::sleep(Duration::from_millis(10));
-                                }
+            // An observed point gets a per-point `ProgressState` with a
+            // single axiom slot, sampled on a side thread at the
+            // coalesced 100 ms cadence (hot polling visibly taxes small
+            // runs — see the `progress_overhead_pct` points in
+            // `BENCH_enum.json`).
+            let observed = cfg
+                .progress
+                .map(|mode| (mode, Arc::new(ProgressState::new(&[ax.name.as_str()]))));
+            let stop = Arc::new(AtomicBool::new(false));
+            let sampler = observed.as_ref().map(|(mode, progress)| {
+                let (mode, progress, stop) = (*mode, Arc::clone(progress), Arc::clone(&stop));
+                std::thread::spawn(move || {
+                    while !stop.load(Ordering::Relaxed) {
+                        eprintln!(
+                            "{}",
+                            render_sample(mode, bound, &progress.snapshot(), false)
+                        );
+                        // Sleep the cadence in short slices so a
+                        // finished millisecond-scale point isn't held
+                        // hostage by the sampler.
+                        for _ in 0..10 {
+                            if stop.load(Ordering::Relaxed) {
+                                break;
                             }
-                        })
-                    };
-                    let suite = match &cache {
-                        Some(cache) => {
-                            cache
-                                .cached_or_synthesize_observed(
-                                    mtm, &ax.name, &opts, cfg.jobs, &progress,
-                                )
-                                .unwrap_or_else(|e| panic!("suite cache: {e}"))
-                                .0
+                            std::thread::sleep(Duration::from_millis(10));
                         }
-                        None => synthesize_suite_jobs_observed(
-                            mtm, &ax.name, &opts, cfg.jobs, &progress,
-                        ),
-                    };
-                    stop.store(true, Ordering::Relaxed);
-                    sampler.join().expect("sampler joins");
-                    eprintln!("{}", render_sample(mode, bound, &progress.snapshot(), true));
-                    suite
-                }
+                    }
+                })
+            });
+            let axioms = [ax.name.as_str()];
+            let run = Run {
+                progress: observed.as_ref().map(|(_, progress)| progress),
+                ..Run::new(mtm, &axioms, &opts, cfg.jobs)
             };
+            let suite = match &cache {
+                Some(cache) => {
+                    let mut served = cache
+                        .serve(&run)
+                        .unwrap_or_else(|e| panic!("suite cache: {e}"));
+                    served.remove(&ax.name).expect("the run covers its axiom").0
+                }
+                None => run
+                    .collect()
+                    .remove(&ax.name)
+                    .expect("the run covers its axiom"),
+            };
+            if let (Some(sampler), Some((mode, progress))) = (sampler, &observed) {
+                stop.store(true, Ordering::Relaxed);
+                sampler.join().expect("sampler joins");
+                eprintln!(
+                    "{}",
+                    render_sample(*mode, bound, &progress.snapshot(), true)
+                );
+            }
             let timed_out = suite.stats.timed_out;
             out.push(SweepPoint {
                 axiom: ax.name.clone(),
@@ -316,7 +309,8 @@ pub fn all_suites(
     opts.enumeration.allow_fences = false;
     opts.enumeration.allow_rmw = false;
     opts.timeout = Some(budget);
-    transform_par::synthesize_all_jobs(mtm, &opts, jobs)
+    let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
+    Run::new(mtm, &axioms, &opts, jobs).collect()
 }
 
 #[cfg(test)]

@@ -53,15 +53,10 @@ use transform_core::axiom::Mtm;
 use transform_core::spec::parse_mtm;
 use transform_core::{figures, pretty, vocab};
 use transform_litmus::format::{parse_elt, print_elt};
-use transform_par::{
-    synthesize_all_jobs, synthesize_all_jobs_observed, synthesize_suite_jobs,
-    synthesize_suite_jobs_observed, ProgressState,
-};
+use transform_par::{ProgressState, Run};
 use transform_sim::{check_conformance, explore, Bugs, SimConfig, SimProgram};
 use transform_store::{
-    cached_or_synthesize, cached_or_synthesize_all, cached_or_synthesize_all_observed,
-    cached_or_synthesize_observed, execute_lease, CacheTier, EntryMeta, Fingerprint, HttpTier,
-    JobSpec, Store, TieredCache,
+    execute_lease, CacheTier, EntryMeta, Fingerprint, HttpTier, JobSpec, Store, TieredCache,
 };
 use transform_synth::engine::{Backend, Suite, SynthOptions};
 use transform_synth::programs::{Program, SlotOp};
@@ -353,30 +348,14 @@ fn cmd_synthesize(mut opts: Opts) -> Result<String, String> {
         &sopts,
         jobs,
     )?;
-    let suites = if all {
-        // One fused run for every axiom: the program space is
-        // enumerated once, and no shared plan is built before workers
-        // start.
-        synthesize_all_maybe_cached(
-            &mtm,
-            &sopts,
-            jobs,
-            cache.as_deref(),
-            cache_url.as_deref(),
-            progress.as_ref(),
-        )?
-    } else {
-        let suite = synthesize_maybe_cached(
-            &mtm,
-            &axioms[0],
-            &sopts,
-            jobs,
-            cache.as_deref(),
-            cache_url.as_deref(),
-            progress.as_ref(),
-        )?;
-        std::iter::once((axioms[0].clone(), suite)).collect()
+    // One fused run for every selected axiom: the program space is
+    // enumerated once, and no shared plan is built before workers start.
+    let names: Vec<&str> = axioms.iter().map(String::as_str).collect();
+    let run = Run {
+        progress: progress.as_ref(),
+        ..Run::new(&mtm, &names, &sopts, jobs)
     };
+    let suites = synthesize_maybe_cached(&run, cache.as_deref(), cache_url.as_deref())?;
     if let Some(reporter) = reporter {
         reporter.finish();
     }
@@ -525,19 +504,16 @@ fn fleet_synthesize(
         }
         std::thread::sleep(Duration::from_millis(250));
     }
-    // Every suite is sealed on the coordinator: read each through the
-    // tiered cache, so the bytes are validated into the local store and
-    // served exactly like any other remote hit.
+    // Every suite is sealed on the coordinator: read them all through
+    // the tiered cache in one call, so the bytes are validated into the
+    // local store and served exactly like any other remote hit (an
+    // axiom the coordinator lacks joins one local fused run).
     let remote = HttpTier::new(urls[0]).map_err(|e| e.to_string())?;
     let tiered = TieredCache::new(store).with_remote(Box::new(remote));
-    let mut suites = BTreeMap::new();
-    for axiom in axioms {
-        let (suite, _status) = tiered
-            .cached_or_synthesize(mtm, axiom, sopts, jobs)
-            .map_err(|e| format!("cache `{dir}` + `{}`: {e}", urls[0]))?;
-        suites.insert(axiom.clone(), suite);
-    }
-    Ok(suites)
+    let served = tiered
+        .serve(&Run::new(mtm, &names, sopts, jobs))
+        .map_err(|e| format!("cache `{dir}` + `{}`: {e}", urls[0]))?;
+    Ok(served.into_iter().map(|(ax, (s, _))| (ax, s)).collect())
 }
 
 /// `transform worker`: the fleet worker loop. Leases mass-balanced
@@ -712,9 +688,8 @@ fn suite_summary(axiom: &str, bound: usize, suite: &Suite, jobs: usize) -> Strin
 }
 
 /// Builds the progress state + reporter pair behind `--progress` and
-/// the run journal. No mode and no journal means no observation at all
-/// — the run takes the plain, un-instrumented entry points; a
-/// journaled run allocates the event buffer even without a reporter.
+/// the run journal. No mode and no journal means no observation at all;
+/// a journaled run allocates the event buffer even without a reporter.
 fn start_progress(
     mode: Option<ProgressMode>,
     axioms: &[String],
@@ -761,104 +736,46 @@ fn start_recorder(
     }
 }
 
-/// The `synthesize`/`compare` synthesis step: straight through the
-/// engine, through the persistent suite store when `--cache` is given,
-/// and through the tiered local+remote cache when `--cache-url` names a
-/// shared `transform serve` endpoint too. Cached and fresh runs print
-/// identically — a warm run (local or remote) serves the sealed
-/// artifact of the cold one, statistics included. A `progress` handle
-/// observes the run (cache hits marked cached, live runs publishing
-/// their counters) without changing any of that.
+/// The `synthesize`/`compare` synthesis step: every selected axiom
+/// through **one fused streamed run** — straight through the engine,
+/// through the persistent suite store when `--cache` is given (tier
+/// hits served per axiom, all misses synthesized together and sealed
+/// per axiom as each finishes), and through the tiered local+remote
+/// cache when `--cache-url` names a shared `transform serve` endpoint
+/// too. Cached and fresh runs print identically — a warm run (local or
+/// remote) serves the sealed artifact of the cold one, statistics
+/// included. An observed run (cache hits marked cached, live runs
+/// publishing their counters) changes none of that.
 fn synthesize_maybe_cached(
-    mtm: &Mtm,
-    axiom: &str,
-    sopts: &SynthOptions,
-    jobs: usize,
+    run: &Run<'_>,
     cache: Option<&str>,
     cache_url: Option<&str>,
-    progress: Option<&Arc<ProgressState>>,
-) -> Result<Suite, String> {
-    match (cache, cache_url) {
-        (None, None) => Ok(match progress {
-            Some(p) => synthesize_suite_jobs_observed(mtm, axiom, sopts, jobs, p),
-            None => synthesize_suite_jobs(mtm, axiom, sopts, jobs),
-        }),
-        (None, Some(_)) => Err(
-            "--cache-url needs --cache DIR for the local tier (remote hits are \
-             validated into it, and fresh suites are sealed there before the push)"
-                .into(),
-        ),
-        (Some(dir), None) => {
-            let store = Store::open(dir).map_err(|e| format!("cannot open cache `{dir}`: {e}"))?;
-            let (suite, _status) = match progress {
-                Some(p) => cached_or_synthesize_observed(&store, mtm, axiom, sopts, jobs, p),
-                None => cached_or_synthesize(&store, mtm, axiom, sopts, jobs),
-            }
-            .map_err(|e| format!("cache `{dir}`: {e}"))?;
-            Ok(suite)
-        }
-        (Some(dir), Some(url)) => {
-            // URL first: a bad URL must not leave an empty store behind.
-            let remote = HttpTier::new(url).map_err(|e| e.to_string())?;
-            let store = Store::open(dir).map_err(|e| format!("cannot open cache `{dir}`: {e}"))?;
-            let tiered = TieredCache::new(store).with_remote(Box::new(remote));
-            let (suite, _status) = match progress {
-                Some(p) => tiered.cached_or_synthesize_observed(mtm, axiom, sopts, jobs, p),
-                None => tiered.cached_or_synthesize(mtm, axiom, sopts, jobs),
-            }
-            .map_err(|e| format!("cache `{dir}` + `{url}`: {e}"))?;
-            Ok(suite)
-        }
-    }
-}
-
-/// The `synthesize --all`/`compare` synthesis step: every per-axiom
-/// suite of the MTM through **one fused streamed run** — straight
-/// through the engine, through the persistent suite store when
-/// `--cache` is given (tier hits served per axiom, all misses
-/// synthesized together and sealed per axiom as each finishes), and
-/// through the tiered local+remote cache when `--cache-url` names a
-/// shared `transform serve` endpoint too.
-fn synthesize_all_maybe_cached(
-    mtm: &Mtm,
-    sopts: &SynthOptions,
-    jobs: usize,
-    cache: Option<&str>,
-    cache_url: Option<&str>,
-    progress: Option<&Arc<ProgressState>>,
 ) -> Result<BTreeMap<String, Suite>, String> {
-    match (cache, cache_url) {
-        (None, None) => Ok(match progress {
-            Some(p) => synthesize_all_jobs_observed(mtm, sopts, jobs, p),
-            None => synthesize_all_jobs(mtm, sopts, jobs),
-        }),
-        (None, Some(_)) => Err(
-            "--cache-url needs --cache DIR for the local tier (remote hits are \
-             validated into it, and fresh suites are sealed there before the push)"
-                .into(),
+    let Some(dir) = cache else {
+        if cache_url.is_some() {
+            return Err(
+                "--cache-url needs --cache DIR for the local tier (remote hits are \
+                 validated into it, and fresh suites are sealed there before the push)"
+                    .into(),
+            );
+        }
+        return Ok(run.collect());
+    };
+    // URL first: a bad URL must not leave an empty store behind.
+    let remote = cache_url
+        .map(|url| HttpTier::new(url).map(|tier| (url, tier)))
+        .transpose()
+        .map_err(|e| e.to_string())?;
+    let store = Store::open(dir).map_err(|e| format!("cannot open cache `{dir}`: {e}"))?;
+    let (tiered, place) = match remote {
+        None => (TieredCache::new(store), format!("cache `{dir}`")),
+        Some((url, tier)) => (
+            TieredCache::new(store).with_remote(Box::new(tier)),
+            format!("cache `{dir}` + `{url}`"),
         ),
-        (Some(dir), None) => {
-            let store = Store::open(dir).map_err(|e| format!("cannot open cache `{dir}`: {e}"))?;
-            let all = match progress {
-                Some(p) => cached_or_synthesize_all_observed(&store, mtm, sopts, jobs, p),
-                None => cached_or_synthesize_all(&store, mtm, sopts, jobs),
-            }
-            .map_err(|e| format!("cache `{dir}`: {e}"))?;
-            Ok(all.into_iter().map(|(ax, (s, _))| (ax, s)).collect())
-        }
-        (Some(dir), Some(url)) => {
-            // URL first: a bad URL must not leave an empty store behind.
-            let remote = HttpTier::new(url).map_err(|e| e.to_string())?;
-            let store = Store::open(dir).map_err(|e| format!("cannot open cache `{dir}`: {e}"))?;
-            let tiered = TieredCache::new(store).with_remote(Box::new(remote));
-            let all = match progress {
-                Some(p) => tiered.cached_or_synthesize_all_observed(mtm, sopts, jobs, p),
-                None => tiered.cached_or_synthesize_all(mtm, sopts, jobs),
-            }
-            .map_err(|e| format!("cache `{dir}` + `{url}`: {e}"))?;
-            Ok(all.into_iter().map(|(ax, (s, _))| (ax, s)).collect())
-        }
-    }
+    };
+    let served = tiered.serve(run).map_err(|e| format!("{place}: {e}"))?;
+    Ok(served.into_iter().map(|(ax, (s, _))| (ax, s)).collect())
 }
 
 /// Renders a suite's members exactly as `synthesize` prints them.
@@ -929,14 +846,12 @@ fn cmd_compare(mut opts: Opts) -> Result<String, String> {
     )?;
     // One fused run covers every axiom (the budget spans the whole
     // run); cached axioms stream from their sealed entries.
-    let suites = synthesize_all_maybe_cached(
-        &mtm,
-        &sopts,
-        jobs,
-        cache.as_deref(),
-        cache_url.as_deref(),
-        progress.as_ref(),
-    )?;
+    let names: Vec<&str> = axioms.iter().map(String::as_str).collect();
+    let run = Run {
+        progress: progress.as_ref(),
+        ..Run::new(&mtm, &names, &sopts, jobs)
+    };
+    let suites = synthesize_maybe_cached(&run, cache.as_deref(), cache_url.as_deref())?;
     if let Some(reporter) = reporter {
         reporter.finish();
     }
@@ -1861,7 +1776,7 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        // --jobs defaults to 1: the sequential reference.
+        // --jobs defaults to 1.
         let base = run_str("synthesize --all --bound 4").expect("runs");
         // Every axiom's suite appears, identical to its solo run.
         for axiom in ["sc_per_loc", "invlpg", "tlb_causality"] {
@@ -1879,6 +1794,49 @@ mod tests {
         ] {
             let out = run_str(line).expect("runs");
             assert_eq!(elts(&base), elts(&out), "{line}");
+        }
+    }
+
+    /// The independent oracle: every run takes the fused pipeline, so
+    /// `--all` at `--jobs 1` and `--jobs 3` must print exactly the
+    /// listing rendered from the sequential engine, and the same
+    /// per-suite totals.
+    #[test]
+    fn synthesize_all_matches_the_sequential_engine() {
+        let mtm = x86t_elt();
+        let mut sopts = SynthOptions::new(4);
+        sopts.enumeration.allow_fences = true;
+        sopts.enumeration.allow_rmw = true;
+        let reference = transform_synth::synthesize_all(&mtm, &sopts);
+        let listing: String = mtm
+            .axioms()
+            .iter()
+            .map(|ax| render_suite(&reference[&ax.name]))
+            .collect();
+        for jobs in [1, 3] {
+            let out = run_str(&format!(
+                "synthesize --all --bound 4 --fences --rmw --jobs {jobs}"
+            ))
+            .expect("runs");
+            let (summaries, elts): (Vec<&str>, Vec<&str>) =
+                out.lines().partition(|l| l.starts_with("suite "));
+            assert_eq!(elts, listing.lines().collect::<Vec<_>>(), "jobs {jobs}");
+            assert_eq!(summaries.len(), mtm.axioms().len(), "jobs {jobs}");
+            for (line, ax) in summaries.iter().zip(mtm.axioms()) {
+                let suite = &reference[&ax.name];
+                let s = &suite.stats;
+                let expected = format!(
+                    "suite `{}` @ bound 4: {} ELTs ({} programs explored, {} executions, \
+                     {} forbidden, {} minimal)",
+                    ax.name,
+                    suite.elts.len(),
+                    s.programs,
+                    s.executions,
+                    s.forbidden,
+                    s.minimal
+                );
+                assert!(line.starts_with(&expected), "jobs {jobs}: {line}");
+            }
         }
     }
 

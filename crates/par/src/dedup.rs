@@ -3,15 +3,13 @@
 //! Workers claim the canonical key of every ELT they emit as they stream
 //! results in. For a single suite the plan already guarantees key
 //! uniqueness, so claims act as a cross-thread invariant check; across
-//! *suites* (one per axiom, as synthesized by
-//! [`crate::synthesize_all_jobs`]) the same set computes the paper's
-//! unique-union counts while suites are still being produced.
+//! *suites* (one per axiom of a multi-axiom [`crate::Run`]) the same
+//! set computes the paper's unique-union counts.
 
 use std::collections::BTreeSet;
 use std::sync::Mutex;
 
-/// FNV-1a over a word stream — the crate's one hash, shared by the
-/// stripe selector here and [`crate::shard::prefix_key`].
+/// FNV-1a over a word stream — the stripe selector's hash.
 pub(crate) fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for x in words {

@@ -6,7 +6,8 @@
 //! crate distributes that engine across worker threads while reproducing
 //! its output *exactly*: for any worker count, the synthesized suite is
 //! byte-identical to the sequential one, and every work counter aggregates
-//! losslessly.
+//! losslessly. The sequential engine stays in [`transform_synth`] as the
+//! independent oracle the tests compare against.
 //!
 //! # Pipeline
 //!
@@ -33,21 +34,16 @@
 //!    stitched into the suite; per-batch counters are kept and summed
 //!    losslessly.
 //!
-//! The cross-axiom driver ([`synthesize_all_jobs`]) is the same fused
-//! pipeline: the synthesis plan is axiom-independent, so one run
-//! enumerates every partition once and fans each admitted chunk out as
-//! one examine batch per axiom — no shared plan is materialized before
-//! workers start, and each axiom's [`SuiteSink::run_done`] fires the
-//! moment its schedule retires (the per-axiom seal + push-on-seal
-//! hook). Partition splitting is *mass-balanced*: the exact
-//! shape-combination node count below every prefix is memoized
-//! ([`EnumSpace::balanced_for_target`]), so work units carry comparable
-//! enumeration work instead of whatever a fixed-depth split happens to
-//! produce.
-//! The pre-streaming two-phase path ([`synthesize_suite_jobs_eager`],
-//! [`synthesize_all_jobs_eager`]: full plan first via [`plan_par`],
-//! then `(axiom, shard)` tasks on the [`shard::WorkQueue`]) is kept as
-//! the baseline the `enum_throughput` bench measures against.
+//! One [`Run`] covers one axiom or many: the synthesis plan is
+//! axiom-independent, so a run enumerates every partition once and fans
+//! each admitted chunk out as one examine batch per axiom — no shared
+//! plan is materialized before workers start, and each axiom's
+//! [`SuiteSink::run_done`] fires the moment its schedule retires (the
+//! per-axiom seal + push-on-seal hook). Partition splitting is
+//! *mass-balanced*: the exact shape-combination node count below every
+//! prefix is memoized ([`EnumSpace::balanced_for_target`]), so work
+//! units carry comparable enumeration work instead of whatever a
+//! fixed-depth split happens to produce.
 //!
 //! Determinism holds because every per-item examination is a pure
 //! function of the item: candidate executions are examined in a canonical
@@ -58,7 +54,7 @@
 //!
 //! ```
 //! use transform_core::spec::parse_mtm;
-//! use transform_par::synthesize_suite_jobs;
+//! use transform_par::Run;
 //! use transform_synth::SynthOptions;
 //!
 //! let mtm = parse_mtm(
@@ -70,41 +66,31 @@
 //! opts.enumeration.allow_fences = false;
 //! opts.enumeration.allow_rmw = false;
 //! let sequential = transform_synth::synthesize_suite(&mtm, "sc_per_loc", &opts);
-//! let parallel = synthesize_suite_jobs(&mtm, "sc_per_loc", &opts, 4);
-//! assert_eq!(sequential.elts.len(), parallel.elts.len());
+//! let parallel = Run::new(&mtm, &["sc_per_loc"], &opts, 4).collect();
+//! assert_eq!(sequential.elts.len(), parallel["sc_per_loc"].elts.len());
 //! ```
 
 #![deny(missing_docs)]
 
 pub mod dedup;
 pub mod progress;
-pub mod shard;
 pub mod stream;
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
 use transform_core::axiom::Mtm;
-use transform_synth::programs::{EnumSpace, KeyedProgram};
-use transform_synth::{
-    branches_co_pa, Examiner, ShardStats, Suite, SuiteRecord, SuiteStats, SynthOptions, SynthPlan,
-    SynthesizedElt,
-};
+use transform_synth::programs::EnumSpace;
+use transform_synth::{ShardStats, Suite, SuiteRecord, SuiteStats, SynthOptions, SynthesizedElt};
 
 pub use progress::{
     AxiomSnapshot, AxiomState, JournalEvent, JournalEventKind, ProgressSnapshot, ProgressState,
 };
 pub use stream::StreamMetrics;
 
-/// Shards per worker: enough granularity for stealing to balance uneven
-/// shards without shrinking them into solver-reuse-defeating slivers.
-const SHARDS_PER_WORKER: usize = 4;
-
 /// Enumeration partitions per worker: fine enough that the dedup
 /// frontier rarely stalls on one straggler partition, coarse enough
 /// that per-partition overhead stays negligible.
-pub(crate) const PARTITIONS_PER_WORKER: usize = 8;
+const PARTITIONS_PER_WORKER: usize = 8;
 
 /// The machine's available parallelism (the `--jobs` default).
 pub fn default_jobs() -> usize {
@@ -116,94 +102,6 @@ pub fn default_jobs() -> usize {
 /// each by its exact shape-combination node count.
 pub fn space_for(opts: &SynthOptions, jobs: usize) -> EnumSpace {
     EnumSpace::balanced_for_target(&opts.enumeration, jobs * PARTITIONS_PER_WORKER)
-}
-
-/// Parallel plan construction over the prefix-partitioned enumeration:
-/// `jobs` workers enumerate (and canonically key — computed once, not
-/// recomputed as the eager path did) the partitions of the program
-/// space; the dedup frontier then admits partitions in ordinal order,
-/// producing exactly the plan of [`transform_synth::plan_suite`] when no
-/// deadline strikes.
-///
-/// A deadline cuts the plan at partition granularity: the first
-/// partition whose worker observed the expiry is recorded in
-/// [`SynthPlan::cut_at_partition`], every partition below it is fully
-/// planned, and everything from it on is dropped — a timed-out plan is
-/// a reproducible prefix of the deadline-free plan instead of a
-/// worker-race-dependent subset.
-///
-/// `jobs <= 1` delegates to [`transform_synth::plan_suite`].
-///
-/// # Panics
-///
-/// Panics when `axiom` is not part of `mtm`.
-pub fn plan_par(
-    mtm: &Mtm,
-    axiom: &str,
-    opts: &SynthOptions,
-    deadline: Option<Instant>,
-    jobs: usize,
-) -> SynthPlan {
-    if jobs <= 1 {
-        return transform_synth::plan_suite(mtm, axiom, opts, deadline);
-    }
-    assert!(
-        mtm.axiom(axiom).is_some(),
-        "axiom `{axiom}` is not part of {}",
-        mtm.name()
-    );
-    let space = space_for(opts, jobs);
-    let count = space.partition_count();
-    let next = AtomicUsize::new(0);
-    // The smallest partition ordinal whose worker saw the deadline
-    // expired; everything below it is guaranteed enumerated.
-    let cut = AtomicUsize::new(usize::MAX);
-    let slots: Vec<Mutex<Option<Vec<KeyedProgram>>>> =
-        (0..count).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(count).max(1) {
-            let space = &space;
-            let next = &next;
-            let cut = &cut;
-            let slots = &slots;
-            scope.spawn(move || loop {
-                let ordinal = next.fetch_add(1, Ordering::Relaxed);
-                if ordinal >= count || ordinal >= cut.load(Ordering::Relaxed) {
-                    break;
-                }
-                if deadline.is_some_and(|d| Instant::now() > d) {
-                    cut.fetch_min(ordinal, Ordering::Relaxed);
-                    break;
-                }
-                // The deadline is also honored *inside* the partition; a
-                // partition whose enumeration saw the expiry is partial,
-                // so it is discarded and becomes the cut point.
-                let keyed = space.enumerate_keyed_within(ordinal, deadline);
-                if deadline.is_some_and(|d| Instant::now() > d) {
-                    cut.fetch_min(ordinal, Ordering::Relaxed);
-                    break;
-                }
-                *slots[ordinal].lock().expect("slot lock is never poisoned") = Some(keyed);
-            });
-        }
-    });
-    let cutoff = cut.load(Ordering::Relaxed).min(count);
-    let mut admitter = stream::Admitter::new(opts.enumeration.symmetry_reduction);
-    let mut items = Vec::new();
-    for slot in slots.into_iter().take(cutoff) {
-        let keyed = slot
-            .into_inner()
-            .expect("slot lock is never poisoned")
-            .expect("every partition below the cutoff was enumerated");
-        items.extend(admitter.admit(keyed));
-    }
-    SynthPlan {
-        items,
-        programs: admitter.programs,
-        timed_out: cutoff < count,
-        cut_at_partition: (cutoff < count).then_some(cutoff),
-        branch_co_pa: branches_co_pa(mtm),
-    }
 }
 
 /// Receives a suite's members as parallel shards finish, instead of the
@@ -235,7 +133,7 @@ pub trait SuiteSink: Sync {
 }
 
 /// A [`SuiteSink`] that collects records in memory — the sink behind
-/// [`synthesize_suite_jobs`].
+/// [`Run::collect`].
 struct CollectSink {
     records: Mutex<Vec<SuiteRecord>>,
 }
@@ -266,517 +164,102 @@ impl SuiteSink for CollectSink {
     }
 }
 
-/// The shared worker pool: distributes `(axiom, shard)` tasks over
-/// `jobs` workers and streams each finished shard to its axiom's sink.
-/// Returns the per-axiom shard counters (sorted by shard id) and
-/// per-axiom deadline flags.
-fn run_pool(
-    mtm: &Mtm,
-    axioms: &[&str],
-    opts: &SynthOptions,
-    jobs: usize,
-    deadline: Option<Instant>,
-    plan: &SynthPlan,
-    sinks: &[&dyn SuiteSink],
-) -> (Vec<Vec<ShardStats>>, Vec<bool>) {
-    assert_eq!(axioms.len(), sinks.len(), "one sink per axiom");
-    let shards = shard::make_shards(&plan.items, jobs * SHARDS_PER_WORKER);
-    // Axiom-major order: workers drain the first axiom's shards before
-    // starting the next, so an expiring deadline leaves whole early
-    // suites complete rather than every suite partial.
-    let tasks: Vec<(usize, shard::Shard)> = axioms
-        .iter()
-        .enumerate()
-        .flat_map(|(ai, _)| shards.iter().map(move |s| (ai, s.clone())))
-        .collect();
-    let queue = shard::WorkQueue::new(tasks, jobs);
-    let claimed: Vec<dedup::KeySet> = axioms.iter().map(|_| dedup::KeySet::new()).collect();
-    let shard_stats: Vec<Mutex<Vec<ShardStats>>> =
-        axioms.iter().map(|_| Mutex::new(Vec::new())).collect();
-    let examined_items: Vec<AtomicUsize> = axioms.iter().map(|_| AtomicUsize::new(0)).collect();
-    let expired = AtomicBool::new(false);
-
-    std::thread::scope(|scope| {
-        for worker in 0..jobs {
-            let queue = &queue;
-            let claimed = &claimed;
-            let shard_stats = &shard_stats;
-            let examined_items = &examined_items;
-            let expired = &expired;
-            scope.spawn(move || {
-                let past_deadline = || deadline.is_some_and(|d| Instant::now() > d);
-                while let Some((ai, batch)) = queue.next(worker) {
-                    if expired.load(Ordering::Relaxed) || past_deadline() {
-                        expired.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    // One examiner — and, for the relational backend, one
-                    // incremental SAT solver — per shard.
-                    let mut examiner =
-                        Examiner::new(mtm, axioms[ai], opts.backend, plan.branch_co_pa);
-                    let mut stats = ShardStats::new(batch.id);
-                    let mut records = Vec::new();
-                    for &index in &batch.items {
-                        if past_deadline() {
-                            expired.store(true, Ordering::Relaxed);
-                            break;
-                        }
-                        let item = &plan.items[index];
-                        let mut examined = examiner.examine(&item.program);
-                        stats.absorb(&examined);
-                        if examined.witness.is_some() && !claimed[ai].claim(&item.key) {
-                            // The plan guarantees key uniqueness; dropping
-                            // a duplicate witness (never its counters)
-                            // keeps the merge correct even if a future
-                            // enumerator breaks that invariant.
-                            debug_assert!(false, "duplicate canonical key in plan");
-                            examined.witness = None;
-                        }
-                        if let Some((witness, violated)) = examined.witness {
-                            records.push(SuiteRecord {
-                                index,
-                                elt: SynthesizedElt {
-                                    program: item.program.clone(),
-                                    witness,
-                                    violated,
-                                },
-                            });
-                        }
-                    }
-                    examined_items[ai].fetch_add(stats.items, Ordering::Relaxed);
-                    shard_stats[ai]
-                        .lock()
-                        .expect("stats lock is never poisoned")
-                        .push(stats);
-                    sinks[ai].shard_done(stats, records);
-                }
-            });
-        }
-    });
-
-    let hit_deadline = expired.load(Ordering::Relaxed);
-    let per_axiom: Vec<Vec<ShardStats>> = shard_stats
-        .into_iter()
-        .map(|m| {
-            let mut shards = m.into_inner().expect("stats lock is never poisoned");
-            shards.sort_by_key(|s| s.shard);
-            shards
-        })
-        .collect();
-    // An axiom is complete when every plan item was examined for it —
-    // the deadline may strike after early axioms already finished.
-    let timed_out: Vec<bool> = examined_items
-        .iter()
-        .map(|n| hit_deadline && n.load(Ordering::Relaxed) < plan.items.len())
-        .collect();
-    (per_axiom, timed_out)
-}
-
-/// Synthesizes the per-axiom suite on `jobs` workers through the fused
-/// streaming pipeline (enumeration, canonical keying, dedup, and
-/// examination all inside one work-stealing pool — see [`stream`]),
-/// streaming every retired batch into `sink` instead of collecting
-/// members in memory. Returns the run's work counters; the suite itself
-/// lives wherever the sink put it (for the persistent store: sealed
-/// shard files whose merge reproduces the canonical suite order).
+/// One synthesis request — the crate's single entry point.
 ///
-/// The records streamed are exactly the members of
-/// [`synthesize_suite_jobs`]'s suite — sorting them by
-/// [`SuiteRecord::index`] recovers the byte-identical sequential suite.
-///
-/// # Panics
-///
-/// Panics when `axiom` is not part of `mtm`.
-pub fn synthesize_suite_streamed(
-    mtm: &Mtm,
-    axiom: &str,
-    opts: &SynthOptions,
-    jobs: usize,
-    sink: &dyn SuiteSink,
-) -> SuiteStats {
-    synthesize_suite_streamed_metrics(mtm, axiom, opts, jobs, sink).0
-}
-
-/// Like [`synthesize_suite_streamed`], additionally returning the
-/// pipeline's scheduling metrics (partition count, deadline cut point,
-/// batch count, peak live candidates) — the side channel the
-/// `enum_throughput` bench records.
-///
-/// # Panics
-///
-/// Panics when `axiom` is not part of `mtm`.
-pub fn synthesize_suite_streamed_metrics(
-    mtm: &Mtm,
-    axiom: &str,
-    opts: &SynthOptions,
-    jobs: usize,
-    sink: &dyn SuiteSink,
-) -> (SuiteStats, StreamMetrics) {
-    stream::run_streamed(mtm, axiom, opts, jobs, sink, None)
-}
-
-/// Like [`synthesize_suite_streamed_metrics`], publishing live counters
-/// into `progress` as the run advances — partitions and subtree mass
-/// retired, programs admitted, per-axiom batch/item/ELT counts
-/// ([`progress`] has the full inventory). The returned
-/// [`StreamMetrics`] is the final snapshot of the same state.
-/// Observation is lock-free sampling; it adds no synchronization to the
-/// pipeline's hot path.
-///
-/// # Panics
-///
-/// Panics when `axiom` is not part of `mtm` or not tracked by
-/// `progress`.
-pub fn synthesize_suite_streamed_observed(
-    mtm: &Mtm,
-    axiom: &str,
-    opts: &SynthOptions,
-    jobs: usize,
-    sink: &dyn SuiteSink,
-    progress: &std::sync::Arc<ProgressState>,
-) -> (SuiteStats, StreamMetrics) {
-    stream::run_streamed(mtm, axiom, opts, jobs, sink, Some(progress))
-}
-
-/// Synthesizes the per-axiom suites of several axioms in **one fused
-/// streamed run** on `jobs` workers: the program space is enumerated
-/// once (the plan is axiom-independent), every admitted chunk fans out
-/// as one examine batch per axiom, and each axiom's sink receives its
-/// retired shards as they finish — `run_done` fires per axiom the
-/// moment that axiom's schedule retires, so a store-backed sink seals
-/// (and pushes) early suites while later ones are still examining. No
-/// shared plan is materialized before workers start.
-///
-/// Returns the per-axiom counters in `axioms` order. Each axiom's
-/// records are exactly the members of its [`synthesize_suite_jobs`]
-/// suite — sorting them by [`SuiteRecord::index`] recovers the
-/// byte-identical sequential suite.
-///
-/// # Panics
-///
-/// Panics when any axiom is not part of `mtm` or `axioms` and `sinks`
-/// disagree in length.
-pub fn synthesize_axioms_streamed(
-    mtm: &Mtm,
-    axioms: &[&str],
-    opts: &SynthOptions,
-    jobs: usize,
-    sinks: &[&dyn SuiteSink],
-) -> Vec<SuiteStats> {
-    synthesize_axioms_streamed_metrics(mtm, axioms, opts, jobs, sinks).0
-}
-
-/// Like [`synthesize_axioms_streamed`], additionally returning the
-/// fused run's scheduling metrics.
-///
-/// # Panics
-///
-/// Panics when any axiom is not part of `mtm` or `axioms` and `sinks`
-/// disagree in length.
-pub fn synthesize_axioms_streamed_metrics(
-    mtm: &Mtm,
-    axioms: &[&str],
-    opts: &SynthOptions,
-    jobs: usize,
-    sinks: &[&dyn SuiteSink],
-) -> (Vec<SuiteStats>, StreamMetrics) {
-    stream::run_fused(mtm, axioms, opts, jobs, sinks, None)
-}
-
-/// Like [`synthesize_axioms_streamed_metrics`], with an optional live
-/// `progress` state exactly as in the `_observed` variant.
-///
-/// # Panics
-///
-/// Panics when any axiom is not part of `mtm`, `axioms` and `sinks`
-/// disagree in length, or `progress` is given but does not track every
-/// axiom.
-pub fn synthesize_axioms_streamed_incremental(
-    mtm: &Mtm,
-    axioms: &[&str],
-    opts: &SynthOptions,
-    jobs: usize,
-    sinks: &[&dyn SuiteSink],
-    progress: Option<&std::sync::Arc<ProgressState>>,
-) -> (Vec<SuiteStats>, StreamMetrics) {
-    stream::run_fused(mtm, axioms, opts, jobs, sinks, progress)
-}
-
-/// The fleet's per-worker entry: a fused run restricted to the
-/// partition range `[range.0, range.1)` of the plan a `plan_jobs`-way
-/// partitioning produces (global ordinals of [`space_for`]`(opts,
-/// plan_jobs)`). The whole prefix `[0, range.1)` is enumerated and
-/// admitted — dedup state and plan indices stay global — but only items
-/// admitted inside the range are examined and delivered to the sinks,
-/// so ranges that tile `[0, partition_count)` yield records and
-/// semantic counters whose ordinal-ordered concatenation is exactly the
-/// single-machine fused run, at any worker count.
-///
-/// `jobs` is this worker's local thread count and never affects the
-/// output; `plan_jobs` (fixed by the coordinator for the whole fleet)
-/// alone determines the partition shape.
-///
-/// # Panics
-///
-/// Panics when any axiom is not part of `mtm`, `axioms` and `sinks`
-/// disagree in length, or the range is not ordered inside
-/// `[0, partition_count]`.
-pub fn synthesize_axioms_fused_range(
-    mtm: &Mtm,
-    axioms: &[&str],
-    opts: &SynthOptions,
-    plan_jobs: usize,
-    jobs: usize,
-    range: (usize, usize),
-    sinks: &[&dyn SuiteSink],
-) -> (Vec<SuiteStats>, StreamMetrics) {
-    stream::run_fused_range(mtm, axioms, opts, plan_jobs, jobs, sinks, None, Some(range))
-}
-
-/// Like [`synthesize_axioms_streamed_metrics`], publishing live
-/// counters into `progress` as the fused run advances. `progress` may
-/// track more axioms than this run covers (the tiered store passes its
-/// caller's state, with cache-served axioms already marked
-/// [`AxiomState::Cached`]); the run binds its own axioms by name.
-///
-/// # Panics
-///
-/// Panics when any axiom is not part of `mtm`, not tracked by
-/// `progress`, or `axioms` and `sinks` disagree in length.
-pub fn synthesize_axioms_streamed_observed(
-    mtm: &Mtm,
-    axioms: &[&str],
-    opts: &SynthOptions,
-    jobs: usize,
-    sinks: &[&dyn SuiteSink],
-    progress: &std::sync::Arc<ProgressState>,
-) -> (Vec<SuiteStats>, StreamMetrics) {
-    stream::run_fused(mtm, axioms, opts, jobs, sinks, Some(progress))
-}
-
-/// The pre-streaming two-phase reference: the full plan is materialized
-/// first (every program enumerated and keyed before any examination),
-/// then sharded across the pool. Output is byte-identical to
-/// [`synthesize_suite_jobs`]; kept as the baseline the `enum_throughput`
-/// bench measures the fused pipeline against.
-///
-/// # Panics
-///
-/// Panics when `axiom` is not part of `mtm`.
-pub fn synthesize_suite_jobs_eager(
-    mtm: &Mtm,
-    axiom: &str,
-    opts: &SynthOptions,
-    jobs: usize,
-) -> Suite {
-    let jobs = jobs.max(1);
-    let start = Instant::now();
-    let deadline = opts.timeout.map(|t| start + t);
-    let plan = plan_par(mtm, axiom, opts, deadline, jobs);
-    let sink = CollectSink::new();
-    let (mut per_axiom, timed_out) = run_pool(mtm, &[axiom], opts, jobs, deadline, &plan, &[&sink]);
-    let mut stats = SuiteStats::from_shards(plan.programs, per_axiom.remove(0));
-    stats.elapsed = start.elapsed();
-    stats.timed_out = timed_out[0] || plan.timed_out;
-    sink.run_done(&stats);
-    Suite {
-        axiom: axiom.to_string(),
-        elts: sink.into_elts(),
-        stats,
-    }
-}
-
-/// Synthesizes the per-axiom suite on `jobs` worker threads.
-///
-/// For any `jobs`, the resulting suite (programs, order, witnesses) is
-/// byte-identical to [`transform_synth::synthesize_suite`], and the
+/// A run synthesizes the per-axiom suites of `axioms` (one or many) in
+/// one fused streamed pipeline on `jobs` workers. For any `jobs`, every
+/// suite (programs, order, witnesses) is byte-identical to
+/// [`transform_synth::synthesize_suite`], and the
 /// `executions`/`forbidden`/`minimal` counters sum to the same totals;
-/// only the per-shard breakdown and wall-clock differ. Runs that hit
-/// `opts.timeout` are best-effort, exactly like the sequential engine.
-///
-/// # Panics
-///
-/// Panics when `axiom` is not part of `mtm`.
-pub fn synthesize_suite_jobs(mtm: &Mtm, axiom: &str, opts: &SynthOptions, jobs: usize) -> Suite {
-    let jobs = jobs.max(1);
-    if jobs == 1 {
-        return transform_synth::synthesize_suite(mtm, axiom, opts);
-    }
-    let sink = CollectSink::new();
-    let stats = synthesize_suite_streamed(mtm, axiom, opts, jobs, &sink);
-    Suite {
-        axiom: axiom.to_string(),
-        elts: sink.into_elts(),
-        stats,
-    }
+/// only the per-shard breakdown and wall-clock differ. With a timeout,
+/// the budget covers the whole run; an axiom whose schedule fully
+/// retired before the expiry stays complete, and each suite's `elapsed`
+/// reports the shared run's wall-clock at its own completion.
+#[derive(Clone, Copy)]
+pub struct Run<'a> {
+    /// The model whose axioms are synthesized.
+    pub mtm: &'a Mtm,
+    /// The axioms to synthesize, each a member of `mtm`.
+    pub axioms: &'a [&'a str],
+    /// Enumeration bound, backend, timeout, and batch granularity.
+    pub opts: &'a SynthOptions,
+    /// Worker threads (`0` is treated as `1`).
+    pub jobs: usize,
+    /// Live telemetry: the run publishes partitions and subtree mass
+    /// retired, programs admitted, and per-axiom batch/item/ELT counts
+    /// into this state ([`progress`] has the full inventory). It may
+    /// track more axioms than the run covers (the tiered store passes
+    /// its caller's state, with cache-served axioms already marked
+    /// [`AxiomState::Cached`]); the run binds its own axioms by name.
+    /// Observation is lock-free sampling and never changes a result.
+    pub progress: Option<&'a Arc<ProgressState>>,
+    /// The fleet's work unit, `(plan_jobs, lo, hi)`: examine only the
+    /// partition range `[lo, hi)` of the plan a `plan_jobs`-way
+    /// partitioning produces (global ordinals of [`space_for`]`(opts,
+    /// plan_jobs)`). The whole prefix `[0, hi)` is enumerated and
+    /// admitted — dedup state and plan indices stay global — so ranges
+    /// that tile `[0, partition_count)` yield records and semantic
+    /// counters whose ordinal-ordered concatenation is exactly the
+    /// whole-space run, at any `jobs`. `None` runs the whole space
+    /// partitioned `jobs` ways.
+    pub range: Option<(usize, usize, usize)>,
 }
 
-/// [`synthesize_suite_jobs`] with live telemetry: the run publishes
-/// into `progress` while it executes. Always runs the streamed pipeline
-/// (even at `jobs == 1` — there is nothing to observe in the sequential
-/// engine), whose suite is byte-identical to the sequential one at
-/// every worker count.
-///
-/// # Panics
-///
-/// Panics when `axiom` is not part of `mtm` or not tracked by
-/// `progress`.
-pub fn synthesize_suite_jobs_observed(
-    mtm: &Mtm,
-    axiom: &str,
-    opts: &SynthOptions,
-    jobs: usize,
-    progress: &std::sync::Arc<ProgressState>,
-) -> Suite {
-    let sink = CollectSink::new();
-    let (stats, _) =
-        synthesize_suite_streamed_observed(mtm, axiom, opts, jobs.max(1), &sink, progress);
-    Suite {
-        axiom: axiom.to_string(),
-        elts: sink.into_elts(),
-        stats,
+impl<'a> Run<'a> {
+    /// An unobserved whole-space run.
+    pub fn new(mtm: &'a Mtm, axioms: &'a [&'a str], opts: &'a SynthOptions, jobs: usize) -> Self {
+        Run {
+            mtm,
+            axioms,
+            opts,
+            jobs,
+            progress: None,
+            range: None,
+        }
     }
-}
 
-/// Synthesizes every per-axiom suite of `mtm` on `jobs` workers — the
-/// parallel counterpart of [`transform_synth::synthesize_all`].
-///
-/// One fused streamed run serves all axioms: the program space is
-/// enumerated once (partitions are work items alongside the per-axiom
-/// examine batches — no shared plan is materialized before workers
-/// start), and workers idled by an exhausted axiom immediately pick up
-/// another's batches instead of waiting at a per-axiom barrier. Each
-/// per-axiom suite is byte-identical to its sequential counterpart.
-/// With a timeout, the budget covers the whole run; an axiom whose
-/// schedule fully retired before the expiry stays complete, and each
-/// suite's `elapsed` reports the shared run's wall-clock at its own
-/// completion.
-pub fn synthesize_all_jobs(mtm: &Mtm, opts: &SynthOptions, jobs: usize) -> BTreeMap<String, Suite> {
-    synthesize_all_jobs_with_union(mtm, opts, jobs).0
-}
+    /// Runs the pipeline, streaming every retired batch into the sink of
+    /// its axiom (`sinks[i]` receives `axioms[i]`) instead of collecting
+    /// members in memory. Returns the per-axiom counters in `axioms`
+    /// order and the run's scheduling metrics; the suites live wherever
+    /// the sinks put them. Sorting an axiom's records by
+    /// [`SuiteRecord::index`] recovers its byte-identical sequential
+    /// suite.
+    ///
+    /// # Panics
+    ///
+    /// Panics when any axiom is not part of `mtm` (or not tracked by
+    /// `progress`), `axioms` and `sinks` disagree in length, or `range`
+    /// does not lie inside `[0, partition_count]`.
+    pub fn stream(&self, sinks: &[&dyn SuiteSink]) -> (Vec<SuiteStats>, StreamMetrics) {
+        stream::run_fused_range(self, sinks)
+    }
 
-/// Like [`synthesize_all_jobs`], additionally claiming every emitted
-/// ELT's canonical key in one cross-suite [`dedup::KeySet`]. The second
-/// component is the number of distinct programs across all per-axiom
-/// suites — the paper's headline unique-union count ("140 unique
-/// ELTs"), available without a second pass over the suites.
-pub fn synthesize_all_jobs_with_union(
-    mtm: &Mtm,
-    opts: &SynthOptions,
-    jobs: usize,
-) -> (BTreeMap<String, Suite>, usize) {
-    let jobs = jobs.max(1);
-    let suites: BTreeMap<String, Suite> = if jobs == 1 {
-        transform_synth::synthesize_all(mtm, opts)
-    } else {
-        let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
-        let sinks: Vec<CollectSink> = axioms.iter().map(|_| CollectSink::new()).collect();
+    /// Runs the pipeline and collects every axiom's suite in memory,
+    /// keyed by axiom name.
+    ///
+    /// # Panics
+    ///
+    /// As [`Run::stream`].
+    pub fn collect(&self) -> BTreeMap<String, Suite> {
+        let sinks: Vec<CollectSink> = self.axioms.iter().map(|_| CollectSink::new()).collect();
         let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
-        let all_stats = synthesize_axioms_streamed(mtm, &axioms, opts, jobs, &sink_refs);
-        axioms
+        let (all_stats, _) = self.stream(&sink_refs);
+        self.axioms
             .iter()
             .zip(sinks)
             .zip(all_stats)
             .map(|((axiom, sink), stats)| {
-                (
-                    axiom.to_string(),
-                    Suite {
-                        axiom: axiom.to_string(),
-                        elts: sink.into_elts(),
-                        stats,
-                    },
-                )
+                let suite = Suite {
+                    axiom: axiom.to_string(),
+                    elts: sink.into_elts(),
+                    stats,
+                };
+                (axiom.to_string(), suite)
             })
             .collect()
-    };
-    let union = dedup::KeySet::new();
-    for suite in suites.values() {
-        for elt in &suite.elts {
-            union.claim(&transform_synth::canon::canonical_key(&elt.program));
-        }
     }
-    let distinct = union.len();
-    (suites, distinct)
 }
-
-/// [`synthesize_all_jobs`] with live telemetry: one fused streamed run
-/// over every axiom of `mtm`, publishing into `progress` while it
-/// executes (always streamed, even at `jobs == 1`). Each per-axiom
-/// suite is byte-identical to its sequential counterpart.
-///
-/// # Panics
-///
-/// Panics when `progress` does not track every axiom of `mtm`.
-pub fn synthesize_all_jobs_observed(
-    mtm: &Mtm,
-    opts: &SynthOptions,
-    jobs: usize,
-    progress: &std::sync::Arc<ProgressState>,
-) -> BTreeMap<String, Suite> {
-    let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
-    let sinks: Vec<CollectSink> = axioms.iter().map(|_| CollectSink::new()).collect();
-    let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
-    let (all_stats, _) =
-        synthesize_axioms_streamed_observed(mtm, &axioms, opts, jobs.max(1), &sink_refs, progress);
-    axioms
-        .iter()
-        .zip(sinks)
-        .zip(all_stats)
-        .map(|((axiom, sink), stats)| {
-            (
-                axiom.to_string(),
-                Suite {
-                    axiom: axiom.to_string(),
-                    elts: sink.into_elts(),
-                    stats,
-                },
-            )
-        })
-        .collect()
-}
-
-/// The pre-fusion cross-axiom reference: one shared plan is fully
-/// materialized first ([`plan_par`]), then every `(axiom, shard)` pair
-/// runs on the work-stealing pool. Output is byte-identical to
-/// [`synthesize_all_jobs`]; kept as the baseline the `enum_throughput`
-/// bench measures the fused cross-axiom pipeline against.
-pub fn synthesize_all_jobs_eager(
-    mtm: &Mtm,
-    opts: &SynthOptions,
-    jobs: usize,
-) -> BTreeMap<String, Suite> {
-    let jobs = jobs.max(1);
-    let start = Instant::now();
-    let deadline = opts.timeout.map(|t| start + t);
-    let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
-    // The plan is axiom-independent (it filters on write-bearing
-    // canonical forms), so one plan serves every axiom's tasks.
-    let plan = plan_par(mtm, axioms[0], opts, deadline, jobs);
-    let sinks: Vec<CollectSink> = axioms.iter().map(|_| CollectSink::new()).collect();
-    let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
-    let (per_axiom, timed_out) = run_pool(mtm, &axioms, opts, jobs, deadline, &plan, &sink_refs);
-    let elapsed = start.elapsed();
-    axioms
-        .iter()
-        .zip(sinks)
-        .zip(per_axiom.into_iter().zip(timed_out))
-        .map(|((axiom, sink), (shards, cut))| {
-            let mut stats = SuiteStats::from_shards(plan.programs, shards);
-            stats.elapsed = elapsed;
-            stats.timed_out = cut || plan.timed_out;
-            sink.run_done(&stats);
-            (
-                axiom.to_string(),
-                Suite {
-                    axiom: axiom.to_string(),
-                    elts: sink.into_elts(),
-                    stats,
-                },
-            )
-        })
-        .collect()
-}
-
 /// Re-exported so callers of the parallel API can name the backend
 /// without a direct `transform_synth` dependency.
 pub use transform_synth::Backend as SynthBackend;
@@ -803,19 +286,33 @@ mod tests {
         o
     }
 
+    /// One axiom's suite, collected through a run.
+    fn one_suite(mtm: &Mtm, axiom: &str, o: &SynthOptions, jobs: usize) -> Suite {
+        Run::new(mtm, &[axiom], o, jobs)
+            .collect()
+            .remove(axiom)
+            .expect("the run covers its axiom")
+    }
+
+    /// A run admits exactly the sequential plan at every worker count:
+    /// the admitted program count and examined item count match, and
+    /// every record carries its sequential plan index.
     #[test]
-    fn plan_par_equals_sequential_plan() {
+    fn run_admits_the_sequential_plan() {
         let mtm = small_mtm();
         let o = opts(4);
-        let sequential = transform_synth::plan_suite(&mtm, "invlpg", &o, None);
+        let plan = transform_synth::plan_suite(&mtm, "invlpg", &o, None);
         for jobs in [1, 2, 8] {
-            let parallel = plan_par(&mtm, "invlpg", &o, None, jobs);
-            assert_eq!(sequential.programs, parallel.programs);
-            assert_eq!(sequential.items.len(), parallel.items.len());
-            for (a, b) in sequential.items.iter().zip(&parallel.items) {
-                assert_eq!(a.index, b.index);
-                assert_eq!(a.key, b.key);
-                assert_eq!(a.program, b.program);
+            let sink = CollectSink::new();
+            let (stats, _) = Run::new(&mtm, &["invlpg"], &o, jobs).stream(&[&sink]);
+            assert_eq!(stats[0].programs, plan.programs, "jobs {jobs}");
+            let items: usize = stats[0].shards.iter().map(|s| s.items).sum();
+            assert_eq!(items, plan.items.len(), "jobs {jobs}");
+            let records = sink.records.into_inner().unwrap();
+            assert!(!records.is_empty(), "jobs {jobs}");
+            for r in &records {
+                assert_eq!(plan.items[r.index].index, r.index, "jobs {jobs}");
+                assert_eq!(r.elt.program, plan.items[r.index].program, "jobs {jobs}");
             }
         }
     }
@@ -825,7 +322,7 @@ mod tests {
         let mtm = small_mtm();
         let o = opts(4);
         let sequential = transform_synth::synthesize_suite(&mtm, "sc_per_loc", &o);
-        let parallel = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 4);
+        let parallel = one_suite(&mtm, "sc_per_loc", &o, 4);
         assert_eq!(sequential.elts.len(), parallel.elts.len());
         for (a, b) in sequential.elts.iter().zip(&parallel.elts) {
             assert_eq!(a.program, b.program);
@@ -846,9 +343,10 @@ mod tests {
     fn pooled_all_matches_per_axiom_suites() {
         let mtm = small_mtm();
         let o = opts(4);
-        let pooled = synthesize_all_jobs(&mtm, &o, 4);
+        let pooled = Run::new(&mtm, &["sc_per_loc", "invlpg"], &o, 4).collect();
+        assert_eq!(pooled.len(), 2);
         for (axiom, suite) in &pooled {
-            let solo = synthesize_suite_jobs(&mtm, axiom, &o, 4);
+            let solo = one_suite(&mtm, axiom, &o, 4);
             assert_eq!(suite.elts.len(), solo.elts.len(), "{axiom}");
             for (a, b) in suite.elts.iter().zip(&solo.elts) {
                 assert_eq!(a.program, b.program, "{axiom}");
@@ -886,8 +384,9 @@ mod tests {
             shards: Mutex::new(Vec::new()),
             done: Mutex::new(Vec::new()),
         };
-        let stats = synthesize_suite_streamed(&mtm, "sc_per_loc", &o, 4, &sink);
-        let suite = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 4);
+        let (mut stats, _) = Run::new(&mtm, &["sc_per_loc"], &o, 4).stream(&[&sink]);
+        let stats = stats.remove(0);
+        let suite = one_suite(&mtm, "sc_per_loc", &o, 4);
         let mut records = sink.records.into_inner().unwrap();
         records.sort_by_key(|r| r.index);
         assert_eq!(records.len(), suite.elts.len());
@@ -914,15 +413,16 @@ mod tests {
         let mtm = small_mtm();
         let mut o = opts(6);
         o.timeout = Some(std::time::Duration::ZERO);
-        let suite = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 4);
-        assert!(suite.stats.timed_out);
-        assert!(suite.elts.is_empty());
-        // The plan-level counterpart records the reproducible cut point.
-        let deadline = Some(Instant::now() - std::time::Duration::from_secs(1));
-        let plan = plan_par(&mtm, "sc_per_loc", &o, deadline, 4);
-        assert!(plan.timed_out);
-        assert_eq!(plan.cut_at_partition, Some(0));
-        assert!(plan.items.is_empty());
+        let cut = one_suite(&mtm, "sc_per_loc", &o, 4);
+        assert!(cut.stats.timed_out);
+        assert!(cut.elts.is_empty());
+        // The metrics record the reproducible cut point: nothing past
+        // the first partition was planned.
+        let (stats, metrics) =
+            Run::new(&mtm, &["sc_per_loc"], &o, 4).stream(&[&CollectSink::new()]);
+        assert!(stats[0].timed_out);
+        assert_eq!(metrics.cut_at_partition, Some(0));
+        assert_eq!(stats[0].programs, 0);
     }
 
     /// The tentpole invariant: journaling is a pure side buffer.
@@ -936,7 +436,13 @@ mod tests {
         let reference = transform_synth::synthesize_suite(&mtm, "sc_per_loc", &o);
         for jobs in [1, 2, 4] {
             let progress = std::sync::Arc::new(ProgressState::with_journal(&["sc_per_loc"]));
-            let suite = synthesize_suite_jobs_observed(&mtm, "sc_per_loc", &o, jobs, &progress);
+            let suite = Run {
+                progress: Some(&progress),
+                ..Run::new(&mtm, &["sc_per_loc"], &o, jobs)
+            }
+            .collect()
+            .remove("sc_per_loc")
+            .expect("the run covers its axiom");
             assert_eq!(suite.elts.len(), reference.elts.len(), "jobs {jobs}");
             for (a, b) in suite.elts.iter().zip(&reference.elts) {
                 assert_eq!(a.program, b.program, "jobs {jobs}");
@@ -980,7 +486,13 @@ mod tests {
         let mut o = opts(6);
         o.timeout = Some(std::time::Duration::ZERO);
         let progress = std::sync::Arc::new(ProgressState::with_journal(&["sc_per_loc"]));
-        let suite = synthesize_suite_jobs_observed(&mtm, "sc_per_loc", &o, 2, &progress);
+        let suite = Run {
+            progress: Some(&progress),
+            ..Run::new(&mtm, &["sc_per_loc"], &o, 2)
+        }
+        .collect()
+        .remove("sc_per_loc")
+        .expect("the run covers its axiom");
         assert!(suite.stats.timed_out);
         let snap = progress.snapshot();
         assert!(snap.cut_at_partition.is_some());
@@ -1002,16 +514,13 @@ mod tests {
     }
 
     #[test]
-    fn synthesize_all_jobs_covers_every_axiom() {
+    fn all_axiom_run_covers_every_axiom() {
         let mtm = small_mtm();
-        let (suites, distinct) = synthesize_all_jobs_with_union(&mtm, &opts(4), 2);
+        let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
+        let suites = Run::new(&mtm, &axioms, &opts(4), 2).collect();
         assert_eq!(suites.len(), 2);
         assert!(suites.values().all(|s| !s.elts.is_empty()));
-        // The streaming cross-suite union equals the batch computation.
-        assert_eq!(
-            distinct,
-            transform_synth::unique_union(suites.values()).len()
-        );
+        let distinct = transform_synth::unique_union(suites.values()).len();
         let total: usize = suites.values().map(|s| s.elts.len()).sum();
         assert!(distinct <= total);
     }

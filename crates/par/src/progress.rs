@@ -226,9 +226,9 @@ pub(crate) struct AxiomProgress {
 /// Shared live counters of one (possibly multi-axiom) synthesis run.
 ///
 /// Created by the observer (e.g. the CLI) with the run's axiom names,
-/// wrapped in an [`Arc`](std::sync::Arc), and handed to an `_observed`
-/// entry point ([`crate::synthesize_axioms_streamed_observed`] and
-/// friends, or the store's `cached_or_synthesize*_observed` paths).
+/// wrapped in an [`Arc`](std::sync::Arc), and handed to a run as
+/// [`crate::Run::progress`] (directly, or through the store's cached
+/// path).
 /// Poll [`ProgressState::snapshot`] from any thread.
 pub struct ProgressState {
     started: Instant,

@@ -2,9 +2,9 @@
 //! work-stealing pool, not in front of it — for one axiom or for every
 //! axiom of an MTM at once.
 //!
-//! The two-phase orchestrator (plan everything, then examine) keeps the
-//! pool idle behind a single-threaded, memory-hungry enumeration pass.
-//! Here the enumeration's prefix partitions ([`EnumSpace`]) are
+//! A two-phase orchestrator (plan everything, then examine) would keep
+//! the pool idle behind a single-threaded, memory-hungry enumeration
+//! pass. Here the enumeration's prefix partitions ([`EnumSpace`]) are
 //! themselves pool tasks: workers alternate between *enumerating* a
 //! partition (materializing its programs with canonical keys, computed
 //! once) and *examining* an `(axiom, batch)` work item, so SAT and
@@ -68,7 +68,7 @@ use transform_synth::{
 };
 
 use crate::progress::{AxiomState, JournalEventKind, ProgressSnapshot, ProgressState};
-use crate::SuiteSink;
+use crate::{Run, SuiteSink};
 
 /// Scheduling facts of one streamed run — everything the pipeline knows
 /// that the (format-frozen) [`SuiteStats`] cannot carry.
@@ -866,49 +866,25 @@ fn finish_axiom(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, ai: usize) {
         .expect("finished lock is never poisoned") = Some(stats);
 }
 
-/// Runs the fused enumerate-while-examining pipeline for `axioms` (one
-/// or many) on `jobs` workers, streaming retired batches into the
-/// per-axiom sinks. Partitions are enumerated once and their admitted
-/// chunks shared across axioms; each axiom's `run_done` fires the
-/// moment its schedule retires. Returns per-axiom counters (in `axioms`
-/// order) and the run's scheduling metrics.
+/// Runs the fused enumerate-while-examining pipeline for the run's
+/// axioms (one or many) on `run.jobs` workers, streaming retired
+/// batches into the per-axiom sinks. Partitions are enumerated once and
+/// their admitted chunks shared across axioms; each axiom's `run_done`
+/// fires the moment its schedule retires. Returns per-axiom counters
+/// (in `axioms` order) and the run's scheduling metrics. A fleet range
+/// ([`Run::range`]) examines only the items admitted inside it.
 ///
 /// # Panics
 ///
-/// Panics when any axiom is not part of `mtm`, or `axioms` and `sinks`
-/// disagree in length.
-pub(crate) fn run_fused(
-    mtm: &Mtm,
-    axioms: &[&str],
-    opts: &SynthOptions,
-    jobs: usize,
-    sinks: &[&dyn SuiteSink],
-    progress: Option<&Arc<ProgressState>>,
-) -> (Vec<SuiteStats>, StreamMetrics) {
-    run_fused_range(mtm, axioms, opts, jobs, jobs, sinks, progress, None)
-}
-
-/// [`run_fused`] restricted to the partition range `range` (global
-/// ordinals of the plan produced by `plan_jobs`-way partitioning): the
-/// whole prefix `[0, range.1)` is enumerated and admitted so dedup
-/// state and plan indices stay global, but only items admitted inside
-/// `[range.0, range.1)` are examined and emitted. Ranges that tile the
-/// space therefore produce shard results whose concatenation is exactly
-/// the single-machine run — the fleet's work unit. `plan_jobs` fixes
-/// the partition shape (the coordinator's choice, shared fleet-wide);
-/// `jobs` is only this run's local thread count and never affects the
-/// output.
-#[allow(clippy::too_many_arguments)]
+/// Panics when any axiom is not part of `mtm`, `axioms` and `sinks`
+/// disagree in length, or the range does not lie inside the space.
 pub(crate) fn run_fused_range(
-    mtm: &Mtm,
-    axioms: &[&str],
-    opts: &SynthOptions,
-    plan_jobs: usize,
-    jobs: usize,
+    run: &Run<'_>,
     sinks: &[&dyn SuiteSink],
-    progress: Option<&Arc<ProgressState>>,
-    range: Option<(usize, usize)>,
 ) -> (Vec<SuiteStats>, StreamMetrics) {
+    let Run {
+        mtm, axioms, opts, ..
+    } = *run;
     assert_eq!(axioms.len(), sinks.len(), "one sink per axiom");
     for axiom in axioms {
         assert!(
@@ -917,7 +893,11 @@ pub(crate) fn run_fused_range(
             mtm.name()
         );
     }
-    let jobs = jobs.max(1);
+    let jobs = run.jobs.max(1);
+    let (plan_jobs, range) = match run.range {
+        Some((plan_jobs, lo, hi)) => (plan_jobs, Some((lo, hi))),
+        None => (jobs, None),
+    };
     let start = Instant::now();
     let deadline = opts.timeout.map(|t| start + t);
     let space = crate::space_for(opts, plan_jobs.max(1));
@@ -926,7 +906,7 @@ pub(crate) fn run_fused_range(
     let pipeline = Pipeline::new(
         &space,
         axioms,
-        progress,
+        run.progress,
         deadline,
         jobs,
         opts.partition_size,
@@ -1022,24 +1002,6 @@ pub(crate) fn run_fused_range(
     let mut metrics = StreamMetrics::from_snapshot(&progress.snapshot());
     metrics.axioms = axioms.len();
     (all_stats, metrics)
-}
-
-/// Runs the fused pipeline for one axiom — the single-suite entry the
-/// orchestrator and the store's cold path use.
-///
-/// # Panics
-///
-/// Panics when `axiom` is not part of `mtm`.
-pub(crate) fn run_streamed(
-    mtm: &Mtm,
-    axiom: &str,
-    opts: &SynthOptions,
-    jobs: usize,
-    sink: &dyn SuiteSink,
-    progress: Option<&Arc<ProgressState>>,
-) -> (SuiteStats, StreamMetrics) {
-    let (mut stats, metrics) = run_fused(mtm, &[axiom], opts, jobs, &[sink], progress);
-    (stats.remove(0), metrics)
 }
 
 #[cfg(test)]
@@ -1319,7 +1281,7 @@ mod tests {
     fn run_cold(m: &Mtm, bound: usize, jobs: usize) -> (Vec<SuiteRecord>, SuiteStats) {
         let opts = synth_opts(bound);
         let sink = RecordSink::new();
-        let (mut stats, _) = run_fused(m, &["sc_per_loc"], &opts, jobs, &[&sink], None);
+        let (mut stats, _) = Run::new(m, &["sc_per_loc"], &opts, jobs).stream(&[&sink]);
         (sink.take(), stats.remove(0))
     }
 
@@ -1344,16 +1306,11 @@ mod tests {
                 let mut minimal = 0usize;
                 for range in [(0, split), (split, n)] {
                     let sink = RecordSink::new();
-                    let (mut stats, _) = run_fused_range(
-                        &m,
-                        &["sc_per_loc"],
-                        &opts,
-                        jobs,
-                        2,
-                        &[&sink],
-                        None,
-                        Some(range),
-                    );
+                    let (mut stats, _) = Run {
+                        range: Some((jobs, range.0, range.1)),
+                        ..Run::new(&m, &["sc_per_loc"], &opts, 2)
+                    }
+                    .stream(&[&sink]);
                     let stats = stats.remove(0);
                     assert!(!stats.timed_out, "jobs {jobs} split {split}");
                     executions += stats.executions;
@@ -1395,8 +1352,11 @@ mod tests {
             opts.timeout = Some(Duration::from_millis(1));
             let progress = Arc::new(ProgressState::with_journal(&["sc_per_loc"]));
             let sink = RecordSink::new();
-            let (stats, metrics) =
-                run_fused(&m, &["sc_per_loc"], &opts, jobs, &[&sink], Some(&progress));
+            let (stats, metrics) = Run {
+                progress: Some(&progress),
+                ..Run::new(&m, &["sc_per_loc"], &opts, jobs)
+            }
+            .stream(&[&sink]);
             let journal = progress.take_journal();
             let snap = progress.snapshot();
             let retired: u64 = journal

@@ -4,8 +4,12 @@
 //! losslessly.
 
 use proptest::prelude::*;
-use transform_par::{synthesize_all_jobs, synthesize_suite_jobs};
-use transform_synth::{Backend, Suite, SynthOptions};
+use std::collections::BTreeMap;
+use transform_core::axiom::Mtm;
+use transform_par::Run;
+use transform_synth::{
+    assemble_suite, synthesize_suite, Backend, Examiner, ShardStats, Suite, SynthOptions,
+};
 use transform_x86::x86t_elt;
 
 /// A byte-exact rendering of everything user-visible in a suite: the
@@ -24,6 +28,20 @@ fn fingerprint(suite: &Suite) -> String {
     out
 }
 
+/// One axiom's suite through the fused pipeline on `jobs` workers.
+fn fused(mtm: &Mtm, axiom: &str, o: &SynthOptions, jobs: usize) -> Suite {
+    Run::new(mtm, &[axiom], o, jobs)
+        .collect()
+        .remove(axiom)
+        .expect("the run covers its axiom")
+}
+
+/// Every axiom's suite through one fused run on `jobs` workers.
+fn fused_all(mtm: &Mtm, o: &SynthOptions, jobs: usize) -> BTreeMap<String, Suite> {
+    let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
+    Run::new(mtm, &axioms, o, jobs).collect()
+}
+
 fn opts(bound: usize, backend: Backend) -> SynthOptions {
     let mut o = SynthOptions::new(bound);
     o.enumeration.allow_fences = false;
@@ -38,23 +56,26 @@ fn jobs_1_and_8_are_byte_identical_on_both_backends() {
     for backend in [Backend::Explicit, Backend::Relational] {
         for axiom in ["sc_per_loc", "invlpg"] {
             let o = opts(4, backend);
-            let one = synthesize_suite_jobs(&mtm, axiom, &o, 1);
-            let eight = synthesize_suite_jobs(&mtm, axiom, &o, 8);
+            let sequential = synthesize_suite(&mtm, axiom, &o);
+            let one = fused(&mtm, axiom, &o, 1);
+            let eight = fused(&mtm, axiom, &o, 8);
             assert!(
-                !one.elts.is_empty(),
+                !sequential.elts.is_empty(),
                 "{axiom} via {backend:?}: empty suite makes this test vacuous"
             );
-            assert_eq!(
-                fingerprint(&one),
-                fingerprint(&eight),
-                "{axiom} via {backend:?}: suites diverge between jobs=1 and jobs=8"
-            );
-            // Lossless counter aggregation: per-shard sums equal the
-            // sequential totals exactly.
-            assert_eq!(one.stats.programs, eight.stats.programs);
-            assert_eq!(one.stats.executions, eight.stats.executions);
-            assert_eq!(one.stats.forbidden, eight.stats.forbidden);
-            assert_eq!(one.stats.minimal, eight.stats.minimal);
+            for (jobs, suite) in [(1, &one), (8, &eight)] {
+                assert_eq!(
+                    fingerprint(&sequential),
+                    fingerprint(suite),
+                    "{axiom} via {backend:?}: jobs={jobs} diverges from the sequential engine"
+                );
+                // Lossless counter aggregation: per-shard sums equal the
+                // sequential totals exactly.
+                assert_eq!(sequential.stats.programs, suite.stats.programs);
+                assert_eq!(sequential.stats.executions, suite.stats.executions);
+                assert_eq!(sequential.stats.forbidden, suite.stats.forbidden);
+                assert_eq!(sequential.stats.minimal, suite.stats.minimal);
+            }
             for suite in [&one, &eight] {
                 let (items, execs, forb, min) =
                     suite
@@ -85,8 +106,8 @@ fn parallel_explicit_and_relational_backends_agree_on_programs() {
     // programs and witnesses must agree.
     let mtm = x86t_elt();
     for axiom in ["sc_per_loc", "invlpg"] {
-        let explicit = synthesize_suite_jobs(&mtm, axiom, &opts(4, Backend::Explicit), 4);
-        let relational = synthesize_suite_jobs(&mtm, axiom, &opts(4, Backend::Relational), 4);
+        let explicit = fused(&mtm, axiom, &opts(4, Backend::Explicit), 4);
+        let relational = fused(&mtm, axiom, &opts(4, Backend::Relational), 4);
         assert_eq!(
             explicit.elts.len(),
             relational.elts.len(),
@@ -107,13 +128,13 @@ fn partition_sizes_never_change_the_suite() {
     let mtm = x86t_elt();
     let reference = {
         let o = opts(4, Backend::Explicit);
-        fingerprint(&synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 1))
+        fingerprint(&synthesize_suite(&mtm, "sc_per_loc", &o))
     };
     for partition_size in [None, Some(1), Some(7), Some(100_000)] {
         for jobs in [2usize, 8] {
             let mut o = opts(4, Backend::Explicit);
             o.partition_size = partition_size;
-            let suite = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, jobs);
+            let suite = fused(&mtm, "sc_per_loc", &o, jobs);
             assert_eq!(
                 reference,
                 fingerprint(&suite),
@@ -130,12 +151,12 @@ fn streamed_bound_5_suite_is_byte_identical_to_sequential() {
     // partition shapes (worker counts) and a pinned partition size.
     let mtm = x86t_elt();
     let o = opts(5, Backend::Explicit);
-    let sequential = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 1);
+    let sequential = synthesize_suite(&mtm, "sc_per_loc", &o);
     assert!(!sequential.elts.is_empty());
     for (jobs, partition_size) in [(4, None), (3, None), (4, Some(13))] {
         let mut o = opts(5, Backend::Explicit);
         o.partition_size = partition_size;
-        let streamed = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, jobs);
+        let streamed = fused(&mtm, "sc_per_loc", &o, jobs);
         let tag = format!("jobs={jobs} partition_size={partition_size:?}");
         assert_eq!(fingerprint(&sequential), fingerprint(&streamed), "{tag}");
         assert_eq!(sequential.stats.programs, streamed.stats.programs, "{tag}");
@@ -160,12 +181,12 @@ fn partition_shapes_are_byte_identical_on_both_backends() {
     for backend in [Backend::Explicit, Backend::Relational] {
         let reference = {
             let o = opts(4, backend);
-            fingerprint(&synthesize_suite_jobs(&mtm, "invlpg", &o, 1))
+            fingerprint(&synthesize_suite(&mtm, "invlpg", &o))
         };
         for (jobs, partition_size) in [(4, None), (7, None), (4, Some(3))] {
             let mut o = opts(4, backend);
             o.partition_size = partition_size;
-            let suite = synthesize_suite_jobs(&mtm, "invlpg", &o, jobs);
+            let suite = fused(&mtm, "invlpg", &o, jobs);
             assert_eq!(
                 reference,
                 fingerprint(&suite),
@@ -188,18 +209,18 @@ fn fused_all_axiom_run_matches_per_axiom_sequential_suites() {
         .map(|ax| {
             (
                 ax.name.clone(),
-                fingerprint(&synthesize_suite_jobs(&mtm, &ax.name, &o, 1)),
+                fingerprint(&synthesize_suite(&mtm, &ax.name, &o)),
             )
         })
         .collect();
     for jobs in [2usize, 4, 8] {
-        let fused = synthesize_all_jobs(&mtm, &o, jobs);
-        assert_eq!(fused.len(), sequential.len(), "jobs={jobs}");
+        let all = fused_all(&mtm, &o, jobs);
+        assert_eq!(all.len(), sequential.len(), "jobs={jobs}");
         for (axiom, reference) in &sequential {
-            let suite = &fused[axiom];
+            let suite = &all[axiom];
             assert_eq!(reference, &fingerprint(suite), "{axiom} jobs={jobs}");
             assert!(!suite.stats.timed_out, "{axiom} jobs={jobs}");
-            let solo = synthesize_suite_jobs(&mtm, axiom, &o, 1);
+            let solo = synthesize_suite(&mtm, axiom, &o);
             assert_eq!(suite.stats.programs, solo.stats.programs, "{axiom}");
             assert_eq!(suite.stats.executions, solo.stats.executions, "{axiom}");
             assert_eq!(suite.stats.forbidden, solo.stats.forbidden, "{axiom}");
@@ -208,15 +229,48 @@ fn fused_all_axiom_run_matches_per_axiom_sequential_suites() {
     }
 }
 
+/// The two-phase baseline built from the sequential engine's phases:
+/// one axiom-independent plan materialized up front, then every axiom
+/// examined over it on one examiner.
+fn eager_shared_plan_baseline(mtm: &Mtm, o: &SynthOptions) -> BTreeMap<String, Suite> {
+    let start = std::time::Instant::now();
+    let plan = transform_synth::plan_suite(mtm, &mtm.axioms()[0].name, o, None);
+    mtm.axioms()
+        .iter()
+        .map(|ax| {
+            let mut examiner = Examiner::new(mtm, &ax.name, o.backend, plan.branch_co_pa);
+            let mut shard = ShardStats::new(0);
+            let results = plan
+                .items
+                .iter()
+                .map(|item| {
+                    let examined = examiner.examine(&item.program);
+                    shard.absorb(&examined);
+                    (item.index, examined)
+                })
+                .collect();
+            let suite = assemble_suite(
+                &ax.name,
+                &plan,
+                results,
+                vec![shard],
+                start.elapsed(),
+                false,
+            );
+            (ax.name.clone(), suite)
+        })
+        .collect()
+}
+
 #[test]
 fn fused_all_axiom_run_matches_the_eager_shared_plan_baseline() {
     let mtm = x86t_elt();
     let o = opts(4, Backend::Explicit);
-    let eager = transform_par::synthesize_all_jobs_eager(&mtm, &o, 4);
-    let fused = synthesize_all_jobs(&mtm, &o, 4);
-    assert_eq!(eager.len(), fused.len());
+    let eager = eager_shared_plan_baseline(&mtm, &o);
+    let all = fused_all(&mtm, &o, 4);
+    assert_eq!(eager.len(), all.len());
     for (axiom, a) in &eager {
-        let b = &fused[axiom];
+        let b = &all[axiom];
         assert_eq!(fingerprint(a), fingerprint(b), "{axiom}");
         assert_eq!(a.stats.programs, b.stats.programs, "{axiom}");
         assert_eq!(a.stats.executions, b.stats.executions, "{axiom}");
@@ -225,18 +279,20 @@ fn fused_all_axiom_run_matches_the_eager_shared_plan_baseline() {
 
 #[test]
 fn eager_reference_path_matches_the_fused_pipeline() {
+    // The sequential engine is the eager reference: its whole plan is
+    // materialized before any examination starts.
     let mtm = x86t_elt();
     for backend in [Backend::Explicit, Backend::Relational] {
         let o = opts(4, backend);
-        let eager = transform_par::synthesize_suite_jobs_eager(&mtm, "invlpg", &o, 4);
-        let fused = synthesize_suite_jobs(&mtm, "invlpg", &o, 4);
+        let eager = synthesize_suite(&mtm, "invlpg", &o);
+        let streamed = fused(&mtm, "invlpg", &o, 4);
         assert_eq!(
             fingerprint(&eager),
-            fingerprint(&fused),
+            fingerprint(&streamed),
             "{backend:?}: two-phase and fused pipelines diverge"
         );
-        assert_eq!(eager.stats.programs, fused.stats.programs);
-        assert_eq!(eager.stats.executions, fused.stats.executions);
+        assert_eq!(eager.stats.programs, streamed.stats.programs);
+        assert_eq!(eager.stats.executions, streamed.stats.executions);
     }
 }
 
@@ -249,8 +305,8 @@ proptest! {
     fn arbitrary_job_counts_stay_deterministic(jobs in 2usize..24) {
         let mtm = x86t_elt();
         let o = opts(4, Backend::Explicit);
-        let reference = fingerprint(&synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 1));
-        let suite = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, jobs);
+        let reference = fingerprint(&synthesize_suite(&mtm, "sc_per_loc", &o));
+        let suite = fused(&mtm, "sc_per_loc", &o, jobs);
         prop_assert_eq!(reference, fingerprint(&suite), "jobs={}", jobs);
     }
 
@@ -265,9 +321,9 @@ proptest! {
         o.partition_size = Some(partition_size);
         let reference = {
             let o = opts(4, Backend::Explicit);
-            fingerprint(&synthesize_suite_jobs(&mtm, "invlpg", &o, 1))
+            fingerprint(&synthesize_suite(&mtm, "invlpg", &o))
         };
-        let suite = synthesize_suite_jobs(&mtm, "invlpg", &o, jobs);
+        let suite = fused(&mtm, "invlpg", &o, jobs);
         prop_assert_eq!(
             reference,
             fingerprint(&suite),
@@ -288,15 +344,15 @@ proptest! {
         let mut o = opts(4, Backend::Explicit);
         // 0 stands in for "autotune" (the engine takes None).
         o.partition_size = (partition_size > 0).then_some(partition_size);
-        let fused = synthesize_all_jobs(&mtm, &o, jobs);
+        let all = fused_all(&mtm, &o, jobs);
         for ax in mtm.axioms() {
             let reference = {
                 let o = opts(4, Backend::Explicit);
-                fingerprint(&synthesize_suite_jobs(&mtm, &ax.name, &o, 1))
+                fingerprint(&synthesize_suite(&mtm, &ax.name, &o))
             };
             prop_assert_eq!(
                 reference,
-                fingerprint(&fused[&ax.name]),
+                fingerprint(&all[&ax.name]),
                 "{} jobs={} partition_size={:?}",
                 &ax.name, jobs, partition_size
             );

@@ -5,11 +5,7 @@
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use transform_par::{
-    synthesize_all_jobs, synthesize_all_jobs_observed, synthesize_axioms_streamed_observed,
-    synthesize_suite_jobs, synthesize_suite_jobs_observed, AxiomState, ProgressSnapshot,
-    ProgressState, SuiteSink,
-};
+use transform_par::{AxiomState, ProgressSnapshot, ProgressState, Run, SuiteSink};
 use transform_synth::{ShardStats, Suite, SuiteRecord, SynthOptions};
 use transform_x86::x86t_elt;
 
@@ -80,8 +76,11 @@ fn counters_are_monotone_under_concurrent_sampling() {
     };
     let sinks: Vec<NullSink> = axioms.iter().map(|_| NullSink).collect();
     let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
-    let (stats, metrics) =
-        synthesize_axioms_streamed_observed(&mtm, &axioms, &o, 4, &sink_refs, &progress);
+    let (stats, metrics) = Run {
+        progress: Some(&progress),
+        ..Run::new(&mtm, &axioms, &o, 4)
+    }
+    .stream(&sink_refs);
     stop.store(true, Ordering::Relaxed);
     sampler.join().expect("sampler thread");
 
@@ -127,8 +126,9 @@ proptest! {
         let o = opts(4);
         let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
         let progress = Arc::new(ProgressState::new(&axioms));
-        let observed = synthesize_all_jobs_observed(&mtm, &o, jobs, &progress);
-        let plain = synthesize_all_jobs(&mtm, &o, jobs);
+        let plain_run = Run::new(&mtm, &axioms, &o, jobs);
+        let observed = Run { progress: Some(&progress), ..plain_run }.collect();
+        let plain = plain_run.collect();
         prop_assert_eq!(observed.len(), plain.len());
         for (axiom, suite) in &observed {
             prop_assert_eq!(fingerprint(suite), fingerprint(&plain[axiom]), "{}", axiom);
@@ -140,17 +140,21 @@ proptest! {
         }
     }
 
-    /// Single-axiom observed synthesis equals the sequential engine —
-    /// including at jobs = 1, where the observed path still runs the
-    /// streamed pipeline.
+    /// Single-axiom observed synthesis equals the sequential engine at
+    /// every worker count, jobs = 1 included.
     #[test]
     fn observed_single_suite_matches_sequential(jobs in 1usize..5) {
         let mtm = x86t_elt();
         let o = opts(4);
         let progress = Arc::new(ProgressState::new(&["sc_per_loc"]));
-        let observed =
-            synthesize_suite_jobs_observed(&mtm, "sc_per_loc", &o, jobs, &progress);
-        let sequential = synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 1);
+        let observed = Run {
+            progress: Some(&progress),
+            ..Run::new(&mtm, &["sc_per_loc"], &o, jobs)
+        }
+        .collect()
+        .remove("sc_per_loc")
+        .expect("the run covers its axiom");
+        let sequential = transform_synth::synthesize_suite(&mtm, "sc_per_loc", &o);
         prop_assert_eq!(fingerprint(&observed), fingerprint(&sequential));
         prop_assert!(!observed.elts.is_empty());
     }

@@ -74,14 +74,14 @@ fn leased_workers_reproduce_the_single_machine_run() {
     assert_eq!(status.staged, ranges.len());
 
     // Fingerprint-level byte-identity: the fleet-sealed suites decode
-    // to exactly the records and lossless counters of a local fused
-    // run (headers differ only in elapsed/shard breakdown).
+    // to exactly the records and lossless counters of the sequential
+    // engine (headers differ only in elapsed/shard breakdown).
     let store = Store::open(&origin).expect("opens");
     for axiom in &axioms {
         let fp = suite_fingerprint(&mtm, axiom, &o);
         let sealed =
             read_suite(store.open_suite(fp).expect("sealed entry")).expect("suite reads back");
-        let reference = transform_par::synthesize_suite_jobs(&mtm, axiom, &o, 2);
+        let reference = transform_synth::synthesize_suite(&mtm, axiom, &o);
         assert_eq!(sealed.elts.len(), reference.elts.len(), "{axiom}");
         for (a, b) in sealed.elts.iter().zip(&reference.elts) {
             assert_eq!(a.program, b.program, "{axiom}");

@@ -5,11 +5,11 @@
 
 use std::io::{Read, Write};
 use std::net::TcpListener;
+use transform_core::axiom::Mtm;
 use transform_litmus::format::print_elt;
+use transform_par::Run;
 use transform_serve::{ServeOptions, Server};
-use transform_store::{
-    cached_or_synthesize, suite_fingerprint, CacheStatus, HttpTier, Store, TieredCache,
-};
+use transform_store::{suite_fingerprint, CacheStatus, HttpTier, Store, StoreError, TieredCache};
 use transform_synth::{Suite, SynthOptions};
 use transform_x86::x86t_elt;
 
@@ -20,6 +20,24 @@ fn opts() -> SynthOptions {
     o.enumeration.allow_fences = false;
     o.enumeration.allow_rmw = false;
     o
+}
+
+/// Serves one axiom's suite through `cache`.
+fn serve_one(
+    cache: &TieredCache,
+    mtm: &Mtm,
+    axiom: &str,
+    o: &SynthOptions,
+    jobs: usize,
+) -> Result<(Suite, CacheStatus), StoreError> {
+    let mut served = cache.serve(&Run::new(mtm, &[axiom], o, jobs))?;
+    Ok(served.remove(axiom).expect("the run covers its axiom"))
+}
+
+/// Seals one bound-4 suite into `store` through a local-only cache.
+fn seal_into(store: &Store, mtm: &Mtm, axiom: &str) {
+    let cache = TieredCache::new(Store::open(store.root()).expect("store reopens"));
+    serve_one(&cache, mtm, axiom, &opts(), 2).expect("seeds");
 }
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
@@ -50,7 +68,7 @@ fn cold_client_reads_through_the_loopback_server() {
     let origin = temp_dir("origin");
     {
         let store = Store::open(&origin).expect("store opens");
-        cached_or_synthesize(&store, &mtm, AXIOM, &opts(), 2).expect("seeds the origin");
+        seal_into(&store, &mtm, AXIOM);
     }
     let server = Server::bind(&origin, "127.0.0.1:0", ServeOptions::default()).expect("binds");
     let url = format!("http://{}", server.local_addr());
@@ -60,9 +78,7 @@ fn cold_client_reads_through_the_loopback_server() {
     let local = temp_dir("client");
     let cache = TieredCache::new(Store::open(&local).expect("store opens"))
         .with_remote(Box::new(HttpTier::new(&url).expect("valid URL")));
-    let (suite, status) = cache
-        .cached_or_synthesize(&mtm, AXIOM, &opts(), 2)
-        .expect("tiered read");
+    let (suite, status) = serve_one(&cache, &mtm, AXIOM, &opts(), 2).expect("tiered read");
     assert!(
         status.is_remote_hit(),
         "expected a remote hit, got {status:?}"
@@ -88,9 +104,7 @@ fn cold_client_reads_through_the_loopback_server() {
         .expect("readable")
         .expect("read-through populated the local tier");
     assert_eq!(local_bytes, origin_bytes);
-    let (warm, warm_status) = cache
-        .cached_or_synthesize(&mtm, AXIOM, &opts(), 2)
-        .expect("warm read");
+    let (warm, warm_status) = serve_one(&cache, &mtm, AXIOM, &opts(), 2).expect("warm read");
     assert!(warm_status.is_hit(), "got {warm_status:?}");
     assert_eq!(render(&warm), reference);
 
@@ -107,9 +121,8 @@ fn unreachable_remote_degrades_to_local_synthesis() {
     let cache = TieredCache::new(Store::open(&local).expect("store opens")).with_remote(Box::new(
         HttpTier::new("http://127.0.0.1:1").expect("valid URL"),
     ));
-    let (suite, status) = cache
-        .cached_or_synthesize(&mtm, AXIOM, &opts(), 2)
-        .expect("degrades to synthesis");
+    let (suite, status) =
+        serve_one(&cache, &mtm, AXIOM, &opts(), 2).expect("degrades to synthesis");
     assert_eq!(status, CacheStatus::Miss);
     assert_eq!(
         render(&suite),
@@ -125,7 +138,6 @@ fn unreachable_remote_degrades_to_local_synthesis() {
 /// to synthesis, never be served or survive in the local tier.
 #[test]
 fn wrong_suite_behind_the_right_fingerprint_is_evicted_not_served() {
-    use transform_par::synthesize_suite_streamed;
     use transform_store::EntryMeta;
 
     let mtm = x86t_elt();
@@ -140,8 +152,8 @@ fn wrong_suite_behind_the_right_fingerprint_is_evicted_not_served() {
         let pending = store
             .begin(fp, EntryMeta::describe(&mtm, "sc_per_loc", &opts()))
             .expect("begins");
-        let stats = synthesize_suite_streamed(&mtm, "sc_per_loc", &opts(), 2, &pending);
-        pending.seal(&stats).expect("seals");
+        let (stats, _) = Run::new(&mtm, &["sc_per_loc"], &opts(), 2).stream(&[&pending]);
+        pending.seal(&stats[0]).expect("seals");
         store
             .entry_bytes(fp)
             .expect("readable")
@@ -152,8 +164,7 @@ fn wrong_suite_behind_the_right_fingerprint_is_evicted_not_served() {
     let local = temp_dir("forge-client");
     let cache = TieredCache::new(Store::open(&local).expect("store opens"))
         .with_remote(Box::new(HttpTier::new(&url).expect("valid URL")));
-    let (suite, status) = cache
-        .cached_or_synthesize(&mtm, AXIOM, &opts(), 2)
+    let (suite, status) = serve_one(&cache, &mtm, AXIOM, &opts(), 2)
         .expect("falls through to synthesis, not a hard error");
     assert!(!status.is_remote_hit(), "got {status:?}");
     assert_eq!(render(&suite), reference);
@@ -216,7 +227,7 @@ fn corrupt_remote_bytes_are_detected_and_never_served() {
     // Sealed bytes with one bit flipped mid-file.
     let seed = temp_dir("poison-seed");
     let store = Store::open(&seed).expect("opens");
-    cached_or_synthesize(&store, &mtm, AXIOM, &opts(), 2).expect("seeds");
+    seal_into(&store, &mtm, AXIOM);
     let mut damaged = store
         .entry_bytes(fp)
         .expect("readable")
@@ -228,9 +239,8 @@ fn corrupt_remote_bytes_are_detected_and_never_served() {
     let local = temp_dir("poison-client");
     let cache = TieredCache::new(Store::open(&local).expect("store opens"))
         .with_remote(Box::new(HttpTier::new(&url).expect("valid URL")));
-    let (suite, status) = cache
-        .cached_or_synthesize(&mtm, AXIOM, &opts(), 2)
-        .expect("falls back to synthesis");
+    let (suite, status) =
+        serve_one(&cache, &mtm, AXIOM, &opts(), 2).expect("falls back to synthesis");
     assert!(
         !status.is_remote_hit(),
         "corrupt remote bytes must never count as a remote hit"
@@ -244,9 +254,7 @@ fn corrupt_remote_bytes_are_detected_and_never_served() {
     // — the poisoned payload was never installed (it cannot validate).
     let mut reader = cache.local().open_suite(fp).expect("validates");
     assert!(reader.by_ref().all(|r| r.is_ok()), "local entry is clean");
-    let (warm, warm_status) = cache
-        .cached_or_synthesize(&mtm, AXIOM, &opts(), 2)
-        .expect("warm read");
+    let (warm, warm_status) = serve_one(&cache, &mtm, AXIOM, &opts(), 2).expect("warm read");
     assert!(warm_status.is_hit(), "got {warm_status:?}");
     assert_eq!(render(&warm), reference);
 
@@ -262,7 +270,7 @@ fn truncated_remote_responses_are_detected_and_never_served() {
 
     let seed = temp_dir("trunc-seed");
     let store = Store::open(&seed).expect("opens");
-    cached_or_synthesize(&store, &mtm, AXIOM, &opts(), 2).expect("seeds");
+    seal_into(&store, &mtm, AXIOM);
     let bytes = store
         .entry_bytes(fp)
         .expect("readable")
@@ -276,9 +284,8 @@ fn truncated_remote_responses_are_detected_and_never_served() {
             .expect("valid URL")
             .with_timeout(std::time::Duration::from_millis(500)),
     ));
-    let (suite, status) = cache
-        .cached_or_synthesize(&mtm, AXIOM, &opts(), 2)
-        .expect("falls back to synthesis");
+    let (suite, status) =
+        serve_one(&cache, &mtm, AXIOM, &opts(), 2).expect("falls back to synthesis");
     assert!(!status.is_remote_hit());
     assert_eq!(render(&suite), reference);
 
@@ -341,7 +348,7 @@ fn metrics_endpoint_reports_requests_hits_puts_and_bytes() {
     assert!(client.fetch(fp).expect("miss round-trips").is_none());
     let seed = temp_dir("metrics-seed");
     let store = Store::open(&seed).expect("opens");
-    cached_or_synthesize(&store, &mtm, AXIOM, &opts(), 2).expect("seeds");
+    seal_into(&store, &mtm, AXIOM);
     let bytes = store
         .entry_bytes(fp)
         .expect("readable")
@@ -402,7 +409,7 @@ fn fused_all_axiom_run_reads_through_and_pushes_per_axiom() {
     let origin = temp_dir("all-origin");
     {
         let store = Store::open(&origin).expect("opens");
-        cached_or_synthesize(&store, &mtm, AXIOM, &opts(), 2).expect("seeds the origin");
+        seal_into(&store, &mtm, AXIOM);
     }
     let server = Server::bind(&origin, "127.0.0.1:0", ServeOptions::default()).expect("binds");
     let url = format!("http://{}", server.local_addr());
@@ -411,8 +418,9 @@ fn fused_all_axiom_run_reads_through_and_pushes_per_axiom() {
     let local = temp_dir("all-client");
     let cache = TieredCache::new(Store::open(&local).expect("store opens"))
         .with_remote(Box::new(HttpTier::new(&url).expect("valid URL")));
+    let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
     let all = cache
-        .cached_or_synthesize_all(&mtm, &opts(), 2)
+        .serve(&Run::new(&mtm, &axioms, &opts(), 2))
         .expect("fused all");
     assert_eq!(all.len(), mtm.axioms().len());
     let origin_store = Store::open(&origin).expect("opens");

@@ -7,10 +7,9 @@ use proptest::proptest;
 use std::sync::OnceLock;
 use transform_core::axiom::Mtm;
 use transform_core::spec::parse_mtm;
+use transform_par::Run;
 use transform_serve::{ServeOptions, Server, ServerHandle};
-use transform_store::{
-    cached_or_synthesize, suite_fingerprint, Fingerprint, HttpTier, Store, StoreError,
-};
+use transform_store::{suite_fingerprint, Fingerprint, HttpTier, Store, StoreError, TieredCache};
 use transform_synth::SynthOptions;
 
 fn mtm() -> Mtm {
@@ -43,11 +42,14 @@ fn sealed_suites() -> &'static Vec<(String, Fingerprint, Vec<u8>)> {
     static SEALED: OnceLock<Vec<(String, Fingerprint, Vec<u8>)>> = OnceLock::new();
     SEALED.get_or_init(|| {
         let dir = temp_dir("seed");
-        let store = Store::open(&dir).expect("store opens");
+        let cache = TieredCache::new(Store::open(&dir).expect("store opens"));
+        let store = cache.local();
         let m = mtm();
         let mut out = Vec::new();
         for axiom in ["sc_per_loc", "invlpg"] {
-            cached_or_synthesize(&store, &m, axiom, &opts(), 2).expect("seeds");
+            cache
+                .serve(&Run::new(&m, &[axiom], &opts(), 2))
+                .expect("seeds");
             let fp = suite_fingerprint(&m, axiom, &opts());
             let bytes = store
                 .entry_bytes(fp)

@@ -782,15 +782,11 @@ pub fn execute_lease(grant: &LeaseGrant, jobs: usize) -> Result<ShardResult, Sto
     }
     let sinks: Vec<CollectShard> = axioms.iter().map(|_| CollectShard::default()).collect();
     let sink_refs: Vec<&dyn SuiteSink> = sinks.iter().map(|s| s as &dyn SuiteSink).collect();
-    let (stats, _) = transform_par::synthesize_axioms_fused_range(
-        &mtm,
-        &axioms,
-        &opts,
-        spec.plan_jobs as usize,
-        jobs.max(1),
-        (lo, hi),
-        &sink_refs,
-    );
+    let (stats, _) = transform_par::Run {
+        range: Some((spec.plan_jobs as usize, lo, hi)),
+        ..transform_par::Run::new(&mtm, &axioms, &opts, jobs)
+    }
+    .stream(&sink_refs);
     // Every axiom shares the run's admitter: its count covers `[0, hi)`.
     let programs = stats.first().map_or(0, |s| s.programs);
     let per_axiom = stats

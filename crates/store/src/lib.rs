@@ -21,9 +21,6 @@
 //!   [`transform_par::SuiteSink`]), a deterministic merge seals the
 //!   canonical index, and [`store::SuiteReader`] iterates a sealed
 //!   suite record-by-record behind checksum validation.
-//! * [`cache`] — the policy: serve sealed entries, stream cold runs in,
-//!   and rebuild (never serve) corrupt, truncated, or
-//!   version-mismatched files.
 //! * [`journal`] — synthesis runs as durable artifacts: a checksummed
 //!   binary journal per run (manifest + timestamped pipeline events)
 //!   written alongside the sealed suites, the substrate for
@@ -32,10 +29,13 @@
 //!   rewritten atomically on every seal, so `query`/`export` filter
 //!   entries without opening each header; a missing or stale index
 //!   falls back to the full scan.
-//! * [`tier`] — cache tiering: a [`CacheTier`] abstraction over "places
-//!   sealed bytes live", and [`TieredCache`] layering a shared remote
-//!   tier behind the local directory (read-through population,
-//!   push-on-seal).
+//! * [`tier`] — the caching policy: a [`CacheTier`] abstraction over
+//!   "places sealed bytes live", and [`TieredCache`], whose one
+//!   [`TieredCache::serve`] call serves sealed entries, layers an
+//!   optional shared remote tier behind the local directory
+//!   (read-through population, push-on-seal), streams cold runs in, and
+//!   rebuilds (never serves) corrupt, truncated, or version-mismatched
+//!   files.
 //! * [`remote`] — the dependency-free HTTP/1.1 client for a
 //!   `transform serve` endpoint ([`HttpTier`]), the remote half of a
 //!   fleet-wide shared cache.
@@ -48,7 +48,8 @@
 //!
 //! ```
 //! use transform_core::spec::parse_mtm;
-//! use transform_store::{cached_or_synthesize, Store};
+//! use transform_par::Run;
+//! use transform_store::{Store, TieredCache};
 //! use transform_synth::SynthOptions;
 //!
 //! let mtm = parse_mtm(
@@ -60,21 +61,20 @@
 //! opts.enumeration.allow_fences = false;
 //! opts.enumeration.allow_rmw = false;
 //! let dir = std::env::temp_dir().join(format!("tfs-doc-{}", std::process::id()));
-//! let store = Store::open(&dir).expect("store opens");
+//! // A local-only cache: no remote tier behind the store directory.
+//! let cache = TieredCache::new(Store::open(&dir).expect("store opens"));
+//! let run = Run::new(&mtm, &["sc_per_loc"], &opts, 2);
 //!
-//! let (cold, cold_status) =
-//!     cached_or_synthesize(&store, &mtm, "sc_per_loc", &opts, 2).expect("synthesizes");
-//! let (warm, warm_status) =
-//!     cached_or_synthesize(&store, &mtm, "sc_per_loc", &opts, 2).expect("reads");
-//! assert!(!cold_status.is_hit());
-//! assert!(warm_status.is_hit());
-//! assert_eq!(cold.elts.len(), warm.elts.len());
+//! let cold = cache.serve(&run).expect("synthesizes");
+//! let warm = cache.serve(&run).expect("reads");
+//! assert!(!cold["sc_per_loc"].1.is_hit());
+//! assert!(warm["sc_per_loc"].1.is_hit());
+//! assert_eq!(cold["sc_per_loc"].0.elts.len(), warm["sc_per_loc"].0.elts.len());
 //! # std::fs::remove_dir_all(&dir).ok();
 //! ```
 
 #![deny(missing_docs)]
 
-pub mod cache;
 pub mod codec;
 pub mod fingerprint;
 pub mod fleet;
@@ -84,10 +84,6 @@ pub mod remote;
 pub mod store;
 pub mod tier;
 
-pub use cache::{
-    cached_or_synthesize, cached_or_synthesize_all, cached_or_synthesize_all_observed,
-    cached_or_synthesize_observed, CacheStatus,
-};
 pub use codec::{CodecError, FORMAT_VERSION};
 pub use fingerprint::{suite_fingerprint, Fingerprint};
 pub use fleet::{
@@ -101,4 +97,4 @@ pub use journal::{
 };
 pub use remote::HttpTier;
 pub use store::{read_suite, EntryMeta, PendingSuite, Store, StoreError, SuiteReader};
-pub use tier::{CacheTier, TieredCache};
+pub use tier::{CacheStatus, CacheTier, TieredCache};

@@ -623,7 +623,7 @@ impl PendingSuite {
 
     /// Merges the shard files into the sealed canonical suite file and
     /// atomically publishes it. `stats` are the run's counters, as
-    /// returned by [`transform_par::synthesize_suite_streamed`].
+    /// returned by [`transform_par::Run::stream`].
     ///
     /// Timed-out (partial) runs must never be sealed — a cache hit on a
     /// partial suite would silently drop members forever.

@@ -1,37 +1,85 @@
-//! Cache tiering: a local store directory backed by an optional shared
-//! remote tier, with read-through population and push-on-seal.
+//! The caching policy over the store: a local store directory backed
+//! by an optional shared remote tier, with read-through population and
+//! push-on-seal.
 //!
-//! The lookup order for one synthesis key:
+//! The lookup order for each axiom of a [`Run`]:
 //!
 //! 1. **Local tier** — a sealed entry in the local [`Store`] is served
-//!    directly (and validated record-by-record, as always).
+//!    directly (and validated record-by-record, as always). Corrupt,
+//!    truncated, or version-mismatched entries are deleted and rebuilt —
+//!    never served.
 //! 2. **Remote tier** — on a local miss, the remote tier is asked for
 //!    the sealed bytes. A remote hit is *installed into the local tier
 //!    first* ([`Store::install_bytes`] fully validates every byte before
 //!    publishing), then served from there — so the next lookup is a
 //!    local hit, and corrupt remote bytes can never be served.
-//! 3. **Synthesis** — on a miss everywhere, the suite is synthesized,
-//!    sealed locally, and the sealed bytes are *pushed* to the remote
-//!    tier (best-effort), turning this run's work into a fleet-wide
-//!    asset. The push is gated on [`transform_par::SuiteSink::run_done`]
-//!    reporting a completed (un-timed-out) run — partial suites are
-//!    never sealed, hence never pushed.
+//! 3. **Synthesis** — every axiom missing everywhere joins one fused
+//!    streamed run; each suite is sealed locally the moment its axiom
+//!    finishes, and the sealed bytes are *pushed* to the remote tier
+//!    (best-effort), turning this run's work into a fleet-wide asset.
+//!    Sealing and pushing are gated on
+//!    [`transform_par::SuiteSink::run_done`] reporting a completed
+//!    (un-timed-out) axiom — partial suites are never sealed, hence
+//!    never pushed.
+//!
+//! Every temperature serves the suite *from the sealed artifact*: a
+//! cold run seals and then reads its own entry back. A warm run
+//! therefore reproduces the cold run's output byte for byte
+//! (statistics included — `elapsed` is the recorded synthesis time, not
+//! the read time), which is what makes cached results indistinguishable
+//! from fresh ones.
 //!
 //! Remote failures are soft on this read path: an unreachable or
 //! misbehaving remote degrades the tiered cache to the local-only one.
 //! Only genuine local i/o failures surface as errors.
 
-use crate::cache::CacheStatus;
 use crate::fingerprint::{suite_fingerprint, Fingerprint};
 use crate::store::{read_suite, EntryMeta, PendingSuite, Store, StoreError};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use transform_core::axiom::Mtm;
-use transform_par::{
-    synthesize_axioms_streamed_incremental, JournalEventKind, ProgressState, SuiteSink,
-};
-use transform_synth::{ShardStats, Suite, SuiteRecord, SuiteStats, SynthOptions};
+use transform_par::{JournalEventKind, ProgressState, Run, SuiteSink};
+use transform_synth::{ShardStats, Suite, SuiteRecord, SuiteStats};
+
+/// How a cached lookup was satisfied.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum CacheStatus {
+    /// Served from an existing sealed entry in the local tier.
+    Hit,
+    /// Served from the remote tier: the sealed bytes were fetched,
+    /// fully validated into the local tier (read-through population),
+    /// and streamed from there — the next lookup is a local [`Hit`].
+    ///
+    /// [`Hit`]: CacheStatus::Hit
+    RemoteHit,
+    /// No entry existed anywhere; synthesized and sealed.
+    Miss,
+    /// An entry existed but failed validation; it was deleted and the
+    /// suite resynthesized and re-sealed.
+    Rebuilt {
+        /// What the validation failure was.
+        reason: String,
+    },
+    /// Synthesized but *not* sealed (the run timed out, so the suite is
+    /// partial and must never be served from cache).
+    Uncached {
+        /// Why the result was not persisted.
+        reason: String,
+    },
+}
+
+impl CacheStatus {
+    /// Whether the suite came from a *local* sealed entry without
+    /// synthesis or a remote fetch.
+    pub fn is_hit(&self) -> bool {
+        matches!(self, CacheStatus::Hit)
+    }
+
+    /// Whether the suite was served from the remote tier (and installed
+    /// into the local one along the way).
+    pub fn is_remote_hit(&self) -> bool {
+        matches!(self, CacheStatus::RemoteHit)
+    }
+}
 
 /// One tier of a layered suite cache: somewhere sealed-suite bytes can
 /// be fetched from and published to, keyed by [`Fingerprint`].
@@ -99,6 +147,7 @@ impl CacheTier for crate::remote::HttpTier {
 ///
 /// ```
 /// use transform_core::spec::parse_mtm;
+/// use transform_par::Run;
 /// use transform_store::{Store, TieredCache};
 /// use transform_synth::SynthOptions;
 ///
@@ -114,10 +163,12 @@ impl CacheTier for crate::remote::HttpTier {
 /// // No remote configured: the tiered cache degrades to the local store.
 /// let cache = TieredCache::new(Store::open(&dir).expect("store opens"));
 ///
-/// let (cold, cold_status) =
-///     cache.cached_or_synthesize(&mtm, "sc_per_loc", &opts, 2).expect("synthesizes");
-/// let (warm, warm_status) =
-///     cache.cached_or_synthesize(&mtm, "sc_per_loc", &opts, 2).expect("reads");
+/// let run = Run::new(&mtm, &["sc_per_loc"], &opts, 2);
+///
+/// let cold = cache.serve(&run).expect("synthesizes");
+/// let warm = cache.serve(&run).expect("reads");
+/// let (cold, cold_status) = &cold["sc_per_loc"];
+/// let (warm, warm_status) = &warm["sc_per_loc"];
 /// assert!(!cold_status.is_hit());
 /// assert!(warm_status.is_hit());
 /// assert_eq!(cold.elts.len(), warm.elts.len());
@@ -154,176 +205,104 @@ impl TieredCache {
         self.remote.as_deref()
     }
 
-    /// Serves the per-axiom suite through the tiers: local, then remote
-    /// (read-through: a remote hit is validated into the local tier and
-    /// served from there), then synthesis (sealed locally and pushed to
-    /// the remote, best-effort). See [`crate::cached_or_synthesize`] for
-    /// the local-only contract this extends.
+    /// Serves every suite of `run` through the tiers: each axiom is
+    /// looked up locally, then remotely (read-through: a remote hit is
+    /// validated into the local tier and served from there), and all
+    /// the misses are synthesized together in one fused streamed run —
+    /// the program space is enumerated once and each missing axiom's
+    /// suite is sealed (and pushed to the remote, best-effort) *as that
+    /// axiom finishes*, not when the whole run drains. A timed-out
+    /// axiom is served from its partial run and never sealed
+    /// ([`CacheStatus::Uncached`]).
+    ///
+    /// With `run.progress` set, every tier-served axiom is marked
+    /// cached ([`ProgressState::mark_cached`]) the moment its lookup
+    /// resolves, and the misses' fused run publishes its counters as it
+    /// executes — an observer watches cached axioms settle instantly
+    /// while live ones stream partitions, mass, and ETA.
     ///
     /// # Errors
     ///
-    /// Only genuine local i/o failures; remote trouble and validation
-    /// failures degrade to the next tier.
+    /// Only genuine local i/o failures (unreadable store directory,
+    /// failed writes); remote trouble and validation failures degrade
+    /// to the next tier.
     ///
     /// # Panics
     ///
-    /// Panics when `axiom` is not part of `mtm` (as every synthesis
-    /// entry point does).
-    pub fn cached_or_synthesize(
+    /// Panics when any axiom is not part of `run.mtm` or `run.range` is
+    /// set (a cache serves whole suites, never fleet ranges).
+    pub fn serve(
         &self,
-        mtm: &Mtm,
-        axiom: &str,
-        opts: &SynthOptions,
-        jobs: usize,
-    ) -> Result<(Suite, CacheStatus), StoreError> {
-        run_tiered(
-            &self.local,
-            self.remote.as_deref(),
-            mtm,
-            axiom,
-            opts,
-            jobs,
-            None,
-        )
-    }
-
-    /// [`TieredCache::cached_or_synthesize`] with live telemetry: a
-    /// tier hit marks the axiom's progress slot cached
-    /// ([`ProgressState::mark_cached`] — so observers render it
-    /// distinctly from live synthesis), and a miss publishes the fused
-    /// run's counters into `progress` as it executes.
-    ///
-    /// # Errors
-    ///
-    /// Only genuine local i/o failures, exactly like
-    /// [`TieredCache::cached_or_synthesize`].
-    pub fn cached_or_synthesize_observed(
-        &self,
-        mtm: &Mtm,
-        axiom: &str,
-        opts: &SynthOptions,
-        jobs: usize,
-        progress: &Arc<ProgressState>,
-    ) -> Result<(Suite, CacheStatus), StoreError> {
-        run_tiered(
-            &self.local,
-            self.remote.as_deref(),
-            mtm,
-            axiom,
-            opts,
-            jobs,
-            Some(progress),
-        )
-    }
-
-    /// Serves **every** per-axiom suite of `mtm` through the tiers in
-    /// one pass: each axiom is looked up locally, then remotely
-    /// (read-through), and all the misses are synthesized together in
-    /// one fused streamed run — the program space is enumerated once
-    /// and each missing axiom's suite is sealed (and pushed to the
-    /// remote, best-effort) *as that axiom finishes*, not when the
-    /// whole run drains.
-    ///
-    /// # Errors
-    ///
-    /// Only genuine local i/o failures; remote trouble and validation
-    /// failures degrade to the next tier.
-    pub fn cached_or_synthesize_all(
-        &self,
-        mtm: &Mtm,
-        opts: &SynthOptions,
-        jobs: usize,
+        run: &Run<'_>,
     ) -> Result<BTreeMap<String, (Suite, CacheStatus)>, StoreError> {
-        run_tiered_all(&self.local, self.remote.as_deref(), mtm, opts, jobs, None)
-    }
-
-    /// [`TieredCache::cached_or_synthesize_all`] with live telemetry:
-    /// every tier-served axiom is marked cached in `progress` the
-    /// moment its lookup resolves, and the misses' fused run publishes
-    /// its counters as it executes — an observer watches cached axioms
-    /// settle instantly while live ones stream partitions, mass, and
-    /// ETA.
-    ///
-    /// # Errors
-    ///
-    /// Only genuine local i/o failures, exactly like
-    /// [`TieredCache::cached_or_synthesize_all`].
-    pub fn cached_or_synthesize_all_observed(
-        &self,
-        mtm: &Mtm,
-        opts: &SynthOptions,
-        jobs: usize,
-        progress: &Arc<ProgressState>,
-    ) -> Result<BTreeMap<String, (Suite, CacheStatus)>, StoreError> {
-        run_tiered_all(
-            &self.local,
-            self.remote.as_deref(),
+        assert!(run.range.is_none(), "cached runs cover the whole space");
+        let (local, remote) = (&self.local, self.remote.as_deref());
+        let Run {
             mtm,
             opts,
-            jobs,
-            Some(progress),
-        )
-    }
-}
-
-/// The tiered lookup shared by [`TieredCache::cached_or_synthesize`] and
-/// the local-only [`crate::cached_or_synthesize`] (which passes no
-/// remote).
-pub(crate) fn run_tiered(
-    local: &Store,
-    remote: Option<&dyn CacheTier>,
-    mtm: &Mtm,
-    axiom: &str,
-    opts: &SynthOptions,
-    jobs: usize,
-    progress: Option<&Arc<ProgressState>>,
-) -> Result<(Suite, CacheStatus), StoreError> {
-    assert!(
-        mtm.axiom(axiom).is_some(),
-        "axiom `{axiom}` is not part of {}",
-        mtm.name()
-    );
-    let fp = suite_fingerprint(mtm, axiom, opts);
-    let status = match lookup_tiers(local, remote, fp, axiom)? {
-        Lookup::Served(suite, status) => {
-            if let Some(progress) = progress {
-                progress.mark_cached(axiom, suite.elts.len());
+            progress,
+            ..
+        } = *run;
+        let mut out = BTreeMap::new();
+        let mut misses: Vec<(&str, Fingerprint, CacheStatus)> = Vec::new();
+        for &axiom in run.axioms {
+            assert!(
+                mtm.axiom(axiom).is_some(),
+                "axiom `{axiom}` is not part of {}",
+                mtm.name()
+            );
+            let fp = suite_fingerprint(mtm, axiom, opts);
+            match lookup_tiers(local, remote, fp, axiom)? {
+                Lookup::Served(suite, status) => {
+                    // Cache-served axioms settle in the progress view the
+                    // moment their lookup resolves — observers render them
+                    // distinctly from the axioms about to synthesize live.
+                    if let Some(progress) = progress {
+                        progress.mark_cached(axiom, suite.elts.len());
+                    }
+                    out.insert(axiom.to_string(), (suite, status));
+                }
+                Lookup::Absent(status) => misses.push((axiom, fp, status)),
             }
-            return Ok((suite, status));
         }
-        Lookup::Absent(status) => status,
-    };
+        if misses.is_empty() {
+            return Ok(out);
+        }
 
-    // Tier 3: synthesize, seal locally, push the sealed bytes.
-    let pending = local.begin(fp, EntryMeta::describe(mtm, axiom, opts))?;
-    // The gate's scope ends before `pending` is sealed or dismantled —
-    // it only lives for the streaming run it observes.
-    let (stats, completed) = {
-        let gate = PushGate::new(&pending);
-        let sinks: [&dyn SuiteSink; 1] = [&gate];
-        let (mut all_stats, _metrics) =
-            synthesize_axioms_streamed_incremental(mtm, &[axiom], opts, jobs, &sinks, progress);
-        let completed = gate.completed();
-        (all_stats.remove(0), completed)
-    };
-    if stats.timed_out {
-        let suite = pending.into_suite(&stats)?;
-        return Ok((
-            suite,
-            CacheStatus::Uncached {
-                reason: "synthesis timed out; partial suites are never cached".into(),
-            },
-        ));
-    }
-    pending.seal(&stats)?;
-    record_seal(progress, axiom, local, fp);
-    if let Some(remote) = remote {
-        if completed {
-            push_sealed(local, remote, fp, progress, axiom);
+        // One fused run for every miss: enumerate once, examine per axiom,
+        // seal each suite from inside the pool as its axiom finishes.
+        let miss_axioms: Vec<&str> = misses.iter().map(|&(a, _, _)| a).collect();
+        let gates: Vec<SealOnDone<'_>> = misses
+            .iter()
+            .map(|&(axiom, fp, _)| {
+                let pending = local.begin(fp, EntryMeta::describe(mtm, axiom, opts))?;
+                Ok(SealOnDone::new(local, remote, fp, pending, axiom, progress))
+            })
+            .collect::<Result<_, StoreError>>()?;
+        let sink_refs: Vec<&dyn SuiteSink> = gates.iter().map(|g| g as &dyn SuiteSink).collect();
+        let (all_stats, _metrics) = Run {
+            axioms: &miss_axioms,
+            ..*run
         }
+        .stream(&sink_refs);
+
+        for (((axiom, fp, status), gate), stats) in misses.into_iter().zip(gates).zip(all_stats) {
+            let (pending, seal_outcome) = gate.into_parts();
+            if stats.timed_out {
+                let pending = pending.expect("timed-out runs are never sealed");
+                let suite = pending.into_suite(&stats)?;
+                let reason = "synthesis timed out; partial suites are never cached".into();
+                out.insert(axiom.to_string(), (suite, CacheStatus::Uncached { reason }));
+                continue;
+            }
+            // A completed axiom was sealed from the pool; surface any seal
+            // failure now (local disk trouble is hard, as ever).
+            seal_outcome.expect("run_done seals every completed axiom")?;
+            let suite = read_entry(local, fp, axiom)?;
+            out.insert(axiom.to_string(), (suite, status));
+        }
+        Ok(out)
     }
-    let suite = read_entry(local, fp, axiom)?;
-    Ok((suite, status))
 }
 
 /// One axiom's outcome from the local and remote tiers.
@@ -336,8 +315,8 @@ enum Lookup {
     Absent(CacheStatus),
 }
 
-/// Tiers 1 and 2 of the lookup, shared by the single-axiom and the
-/// fused all-axiom paths: serve a sealed local entry; on a local miss
+/// Tiers 1 and 2 of the lookup for one axiom: serve a sealed local
+/// entry; on a local miss
 /// fetch from the remote, validate *into* the local tier, and serve
 /// from there. Every remote failure mode is soft — unreachable remote,
 /// damaged payload, local validation refusing the bytes — and degrades
@@ -388,84 +367,6 @@ fn lookup_tiers(
         }
     }
     Ok(Lookup::Absent(status))
-}
-
-/// The all-axiom tiered lookup behind
-/// [`TieredCache::cached_or_synthesize_all`] and the local-only
-/// [`crate::cached_or_synthesize_all`]: tier hits are served per
-/// axiom, and every miss joins **one fused streamed synthesis** whose
-/// per-axiom sinks seal + push each suite the moment that axiom's
-/// schedule retires ([`SuiteSink::run_done`] fires per axiom, not at
-/// the end of the run).
-pub(crate) fn run_tiered_all(
-    local: &Store,
-    remote: Option<&dyn CacheTier>,
-    mtm: &Mtm,
-    opts: &SynthOptions,
-    jobs: usize,
-    progress: Option<&Arc<ProgressState>>,
-) -> Result<BTreeMap<String, (Suite, CacheStatus)>, StoreError> {
-    let axioms: Vec<String> = mtm.axioms().iter().map(|a| a.name.clone()).collect();
-    let mut out = BTreeMap::new();
-    let mut misses: Vec<(String, Fingerprint, CacheStatus)> = Vec::new();
-    for axiom in axioms {
-        let fp = suite_fingerprint(mtm, &axiom, opts);
-        match lookup_tiers(local, remote, fp, &axiom)? {
-            Lookup::Served(suite, status) => {
-                // Cache-served axioms settle in the progress view the
-                // moment their lookup resolves — observers render them
-                // distinctly from the axioms about to synthesize live.
-                if let Some(progress) = progress {
-                    progress.mark_cached(&axiom, suite.elts.len());
-                }
-                out.insert(axiom, (suite, status));
-            }
-            Lookup::Absent(status) => misses.push((axiom, fp, status)),
-        }
-    }
-    if misses.is_empty() {
-        return Ok(out);
-    }
-
-    // One fused run for every miss: enumerate once, examine per axiom,
-    // seal each suite from inside the pool as its axiom finishes.
-    let axiom_refs: Vec<&str> = misses.iter().map(|(a, _, _)| a.as_str()).collect();
-    let gates: Vec<SealOnDone<'_>> = misses
-        .iter()
-        .map(|(axiom, fp, _)| {
-            let pending = local.begin(*fp, EntryMeta::describe(mtm, axiom, opts))?;
-            Ok(SealOnDone::new(
-                local, remote, *fp, pending, axiom, progress,
-            ))
-        })
-        .collect::<Result<_, StoreError>>()?;
-    let sink_refs: Vec<&dyn SuiteSink> = gates.iter().map(|g| g as &dyn SuiteSink).collect();
-    let (all_stats, _metrics) =
-        synthesize_axioms_streamed_incremental(mtm, &axiom_refs, opts, jobs, &sink_refs, progress);
-
-    for (((axiom, fp, status), gate), stats) in misses.into_iter().zip(gates).zip(all_stats) {
-        let (pending, seal_outcome) = gate.into_parts();
-        if stats.timed_out {
-            let pending = pending.expect("timed-out runs are never sealed");
-            let suite = pending.into_suite(&stats)?;
-            out.insert(
-                axiom,
-                (
-                    suite,
-                    CacheStatus::Uncached {
-                        reason: "synthesis timed out; partial suites are never cached".into(),
-                    },
-                ),
-            );
-            continue;
-        }
-        // A completed axiom was sealed from the pool; surface any seal
-        // failure now (local disk trouble is hard, as ever).
-        seal_outcome.expect("run_done seals every completed axiom")?;
-        let suite = read_entry(local, fp, &axiom)?;
-        out.insert(axiom, (suite, status));
-    }
-    Ok(out)
 }
 
 /// The per-axiom [`SuiteSink`] of a fused cached run: streams shards
@@ -556,41 +457,6 @@ impl SuiteSink for SealOnDone<'_> {
             }
         }
         *self.sealed.lock().expect("sealed lock is never poisoned") = Some(result);
-    }
-}
-
-/// The [`SuiteSink`] adapter behind push-on-seal: forwards every shard
-/// to the local pending entry and, through the [`SuiteSink::run_done`]
-/// hook, records whether the run completed — the gate that lets the
-/// tiered cache push the sealed artifact to the remote tier.
-struct PushGate<'a> {
-    pending: &'a PendingSuite,
-    complete: AtomicBool,
-}
-
-impl<'a> PushGate<'a> {
-    fn new(pending: &'a PendingSuite) -> PushGate<'a> {
-        PushGate {
-            pending,
-            complete: AtomicBool::new(false),
-        }
-    }
-
-    /// Whether `run_done` reported a completed (un-timed-out) run.
-    fn completed(&self) -> bool {
-        self.complete.load(Ordering::Acquire)
-    }
-}
-
-impl SuiteSink for PushGate<'_> {
-    fn shard_done(&self, stats: ShardStats, records: Vec<SuiteRecord>) {
-        self.pending.shard_done(stats, records);
-    }
-
-    fn run_done(&self, stats: &SuiteStats) {
-        if !stats.timed_out {
-            self.complete.store(true, Ordering::Release);
-        }
     }
 }
 

@@ -3,10 +3,11 @@
 //! fused synthesis run that seals each axiom as it finishes — and the
 //! result is indistinguishable from per-axiom lookups.
 
-use transform_store::{
-    cached_or_synthesize, cached_or_synthesize_all, suite_fingerprint, CacheStatus, Store,
-};
-use transform_synth::{Suite, SynthOptions};
+use std::collections::BTreeMap;
+use transform_core::axiom::Mtm;
+use transform_par::Run;
+use transform_store::{suite_fingerprint, CacheStatus, Store, StoreError, TieredCache};
+use transform_synth::{synthesize_suite, Suite, SynthOptions};
 use transform_x86::x86t_elt;
 
 fn opts() -> SynthOptions {
@@ -14,6 +15,30 @@ fn opts() -> SynthOptions {
     o.enumeration.allow_fences = false;
     o.enumeration.allow_rmw = false;
     o
+}
+
+/// Serves one axiom's suite through a local-only cache over `store`.
+fn cached(
+    store: &Store,
+    mtm: &Mtm,
+    axiom: &str,
+    o: &SynthOptions,
+    jobs: usize,
+) -> Result<(Suite, CacheStatus), StoreError> {
+    let cache = TieredCache::new(Store::open(store.root())?);
+    let mut served = cache.serve(&Run::new(mtm, &[axiom], o, jobs))?;
+    Ok(served.remove(axiom).expect("the run covers its axiom"))
+}
+
+/// Serves every axiom of `mtm` in one pass through a local-only cache.
+fn cached_all(
+    store: &Store,
+    mtm: &Mtm,
+    o: &SynthOptions,
+    jobs: usize,
+) -> Result<BTreeMap<String, (Suite, CacheStatus)>, StoreError> {
+    let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
+    TieredCache::new(Store::open(store.root())?).serve(&Run::new(mtm, &axioms, o, jobs))
 }
 
 fn temp_store(tag: &str) -> (std::path::PathBuf, Store) {
@@ -41,7 +66,7 @@ fn cold_all_seals_every_axiom_and_warm_all_hits() {
     let (dir, store) = temp_store("cold-warm");
     let o = opts();
 
-    let cold = cached_or_synthesize_all(&store, &mtm, &o, 2).expect("cold all");
+    let cold = cached_all(&store, &mtm, &o, 2).expect("cold all");
     assert_eq!(cold.len(), mtm.axioms().len());
     for (axiom, (suite, status)) in &cold {
         assert_eq!(status, &CacheStatus::Miss, "{axiom}");
@@ -50,12 +75,12 @@ fn cold_all_seals_every_axiom_and_warm_all_hits() {
             store.contains(suite_fingerprint(&mtm, axiom, &o)),
             "{axiom}"
         );
-        // And matches the per-axiom engine.
-        let solo = transform_par::synthesize_suite_jobs(&mtm, axiom, &o, 2);
+        // And matches the sequential engine.
+        let solo = synthesize_suite(&mtm, axiom, &o);
         assert_same_suite(suite, &solo, axiom);
     }
 
-    let warm = cached_or_synthesize_all(&store, &mtm, &o, 2).expect("warm all");
+    let warm = cached_all(&store, &mtm, &o, 2).expect("warm all");
     for (axiom, (suite, status)) in &warm {
         assert!(status.is_hit(), "{axiom}: {status:?}");
         assert_same_suite(suite, &cold[axiom].0, axiom);
@@ -71,12 +96,11 @@ fn mixed_temperatures_serve_hits_and_synthesize_only_misses() {
     let (dir, store) = temp_store("mixed");
     let o = opts();
 
-    // Seed exactly one axiom through the single-suite path.
-    let (seeded, status) =
-        cached_or_synthesize(&store, &mtm, "invlpg", &o, 2).expect("seeds invlpg");
+    // Seed exactly one axiom through a single-axiom run.
+    let (seeded, status) = cached(&store, &mtm, "invlpg", &o, 2).expect("seeds invlpg");
     assert_eq!(status, CacheStatus::Miss);
 
-    let all = cached_or_synthesize_all(&store, &mtm, &o, 2).expect("mixed all");
+    let all = cached_all(&store, &mtm, &o, 2).expect("mixed all");
     for (axiom, (suite, status)) in &all {
         if axiom == "invlpg" {
             assert!(status.is_hit(), "{axiom}: {status:?}");
@@ -100,7 +124,7 @@ fn timed_out_all_run_is_returned_but_never_sealed() {
     o.enumeration.bound = 6;
     o.timeout = Some(std::time::Duration::ZERO);
 
-    let all = cached_or_synthesize_all(&store, &mtm, &o, 2).expect("timed-out all");
+    let all = cached_all(&store, &mtm, &o, 2).expect("timed-out all");
     for (axiom, (suite, status)) in &all {
         assert!(
             matches!(status, CacheStatus::Uncached { .. }),
@@ -120,7 +144,7 @@ fn corrupt_entry_is_rebuilt_by_the_all_path() {
     let mtm = x86t_elt();
     let (dir, store) = temp_store("rebuild");
     let o = opts();
-    cached_or_synthesize_all(&store, &mtm, &o, 2).expect("cold all");
+    cached_all(&store, &mtm, &o, 2).expect("cold all");
 
     // Damage one sealed entry behind the cache's back.
     let fp = suite_fingerprint(&mtm, "sc_per_loc", &o);
@@ -130,13 +154,13 @@ fn corrupt_entry_is_rebuilt_by_the_all_path() {
     bytes[mid] ^= 0xff;
     std::fs::write(&path, &bytes).expect("writable");
 
-    let all = cached_or_synthesize_all(&store, &mtm, &o, 2).expect("rebuild all");
+    let all = cached_all(&store, &mtm, &o, 2).expect("rebuild all");
     let (suite, status) = &all["sc_per_loc"];
     assert!(
         matches!(status, CacheStatus::Rebuilt { .. }),
         "expected a rebuild, got {status:?}"
     );
-    let solo = transform_par::synthesize_suite_jobs(&mtm, "sc_per_loc", &o, 2);
+    let solo = synthesize_suite(&mtm, "sc_per_loc", &o);
     assert_same_suite(suite, &solo, "sc_per_loc");
     // Everyone else stayed a clean hit.
     for (axiom, (_, status)) in &all {

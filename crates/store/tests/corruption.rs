@@ -5,7 +5,8 @@
 use proptest::proptest;
 use transform_core::axiom::Mtm;
 use transform_litmus::format::print_elt;
-use transform_store::{cached_or_synthesize, suite_fingerprint, CacheStatus, Store};
+use transform_par::Run;
+use transform_store::{suite_fingerprint, CacheStatus, Store, StoreError, TieredCache};
 use transform_synth::{Suite, SynthOptions};
 use transform_x86::x86t_elt;
 
@@ -14,6 +15,19 @@ fn opts() -> SynthOptions {
     o.enumeration.allow_fences = false;
     o.enumeration.allow_rmw = false;
     o
+}
+
+/// Serves one axiom's suite through a local-only cache over `store`.
+fn cached(
+    store: &Store,
+    mtm: &Mtm,
+    axiom: &str,
+    o: &SynthOptions,
+    jobs: usize,
+) -> Result<(Suite, CacheStatus), StoreError> {
+    let cache = TieredCache::new(Store::open(store.root())?);
+    let mut served = cache.serve(&Run::new(mtm, &[axiom], o, jobs))?;
+    Ok(served.remove(axiom).expect("the run covers its axiom"))
 }
 
 fn render(suite: &Suite) -> String {
@@ -41,8 +55,7 @@ impl Harness {
         std::fs::remove_dir_all(&dir).ok();
         let store = Store::open(&dir).expect("store opens");
         let mtm = x86t_elt();
-        let (suite, _) =
-            cached_or_synthesize(&store, &mtm, "sc_per_loc", &opts(), 2).expect("seeds");
+        let (suite, _) = cached(&store, &mtm, "sc_per_loc", &opts(), 2).expect("seeds");
         let path = store.entry_path(suite_fingerprint(&mtm, "sc_per_loc", &opts()));
         let clean_bytes = std::fs::read(&path).expect("sealed entry exists");
         Harness {
@@ -60,8 +73,7 @@ impl Harness {
     fn assert_detected_and_rebuilt(&self, bytes: &[u8], what: &str) {
         std::fs::write(&self.path, bytes).expect("plants damage");
         let (suite, status) =
-            cached_or_synthesize(&self.store, &self.mtm, "sc_per_loc", &opts(), 2)
-                .expect("rebuild succeeds");
+            cached(&self.store, &self.mtm, "sc_per_loc", &opts(), 2).expect("rebuild succeeds");
         assert!(
             matches!(status, CacheStatus::Rebuilt { .. }),
             "{what}: expected a rebuild, got {status:?}"
@@ -72,8 +84,8 @@ impl Harness {
             "{what}: rebuilt suite must match the clean one"
         );
         // The rebuild resealed a valid entry: the next read is a hit.
-        let (_, status) = cached_or_synthesize(&self.store, &self.mtm, "sc_per_loc", &opts(), 2)
-            .expect("post-rebuild read");
+        let (_, status) =
+            cached(&self.store, &self.mtm, "sc_per_loc", &opts(), 2).expect("post-rebuild read");
         assert!(status.is_hit(), "{what}: reseal must restore the entry");
     }
 }

@@ -93,8 +93,7 @@ proptest! {
         prop_assert_eq!(sealed.len(), axioms.len());
         for (axiom, fp) in axioms.iter().zip(&sealed) {
             let suite = read_suite(store.open_suite(*fp).expect("sealed")).expect("reads");
-            let reference =
-                transform_par::synthesize_suite_jobs(&mtm, axiom, &o, plan_jobs as usize);
+            let reference = transform_synth::synthesize_suite(&mtm, axiom, &o);
             prop_assert_eq!(suite.elts.len(), reference.elts.len());
             for (a, b) in suite.elts.iter().zip(&reference.elts) {
                 prop_assert_eq!(&a.program, &b.program);

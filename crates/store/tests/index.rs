@@ -4,7 +4,8 @@
 
 use std::path::PathBuf;
 use transform_core::spec::parse_mtm;
-use transform_store::{cached_or_synthesize, Store, INDEX_FILE};
+use transform_par::Run;
+use transform_store::{Store, TieredCache, INDEX_FILE};
 use transform_synth::SynthOptions;
 
 fn opts(bound: usize) -> SynthOptions {
@@ -24,6 +25,14 @@ fn mtm() -> transform_core::axiom::Mtm {
     .expect("spec parses")
 }
 
+/// Synthesizes and seals one bound-4 suite through a local-only cache.
+fn seal(store: &Store, mtm: &transform_core::axiom::Mtm, axiom: &str) {
+    let cache = TieredCache::new(Store::open(store.root()).expect("store reopens"));
+    cache
+        .serve(&Run::new(mtm, &[axiom], &opts(4), 2))
+        .expect("seals");
+}
+
 fn temp_store(tag: &str) -> (PathBuf, Store) {
     let dir = std::env::temp_dir().join(format!("tfs-index-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
@@ -37,13 +46,13 @@ fn seal_maintains_an_exact_index() {
     let m = mtm();
     assert!(store.read_index().is_none(), "no index before any seal");
 
-    cached_or_synthesize(&store, &m, "sc_per_loc", &opts(4), 2).expect("seals");
+    seal(&store, &m, "sc_per_loc");
     let index = store.read_index().expect("index after one seal");
     assert_eq!(index.len(), 1);
     assert_eq!(index[0].meta.axiom, "sc_per_loc");
     assert_eq!(index[0].meta.bound, 4);
 
-    cached_or_synthesize(&store, &m, "invlpg", &opts(4), 2).expect("seals");
+    seal(&store, &m, "invlpg");
     let index = store.read_index().expect("index after two seals");
     assert_eq!(index.len(), 2);
     // Sorted by fingerprint, exactly like Store::entries.
@@ -61,8 +70,8 @@ fn seal_maintains_an_exact_index() {
 fn stale_and_corrupt_indexes_are_rejected_and_rebuildable() {
     let (dir, store) = temp_store("stale");
     let m = mtm();
-    cached_or_synthesize(&store, &m, "sc_per_loc", &opts(4), 2).expect("seals");
-    cached_or_synthesize(&store, &m, "invlpg", &opts(4), 2).expect("seals");
+    seal(&store, &m, "sc_per_loc");
+    seal(&store, &m, "invlpg");
     assert!(store.read_index().is_some());
 
     // Delete one sealed entry behind the store's back: the index now

@@ -3,9 +3,11 @@
 //! the sealed store byte-identically — both as structures and as
 //! `print_elt`/`parse_elt` text.
 
+use transform_core::axiom::Mtm;
 use transform_litmus::format::{parse_elt, print_elt};
+use transform_par::Run;
 use transform_store::codec::{decode_record, encode_record};
-use transform_store::{cached_or_synthesize, suite_fingerprint, Store};
+use transform_store::{suite_fingerprint, CacheStatus, Store, StoreError, TieredCache};
 use transform_synth::{synthesize_suite, Backend, Suite, SuiteRecord, SynthOptions};
 use transform_x86::x86t_elt;
 
@@ -13,6 +15,19 @@ fn opts(bound: usize, backend: Backend) -> SynthOptions {
     let mut o = SynthOptions::new(bound);
     o.backend = backend;
     o
+}
+
+/// Serves one axiom's suite through a local-only cache over `store`.
+fn cached(
+    store: &Store,
+    mtm: &Mtm,
+    axiom: &str,
+    o: &SynthOptions,
+    jobs: usize,
+) -> Result<(Suite, CacheStatus), StoreError> {
+    let cache = TieredCache::new(Store::open(store.root())?);
+    let mut served = cache.serve(&Run::new(mtm, &[axiom], o, jobs))?;
+    Ok(served.remove(axiom).expect("the run covers its axiom"))
 }
 
 fn temp_store(tag: &str) -> (Store, std::path::PathBuf) {
@@ -79,11 +94,9 @@ fn warm_cache_reads_are_byte_identical_to_cold_runs() {
     for backend in [Backend::Explicit, Backend::Relational] {
         let o = opts(4, backend);
         for axiom in ["sc_per_loc", "invlpg"] {
-            let (cold, cold_status) =
-                cached_or_synthesize(&store, &mtm, axiom, &o, 4).expect("cold run");
+            let (cold, cold_status) = cached(&store, &mtm, axiom, &o, 4).expect("cold run");
             assert!(!cold_status.is_hit(), "{axiom} {backend:?}");
-            let (warm, warm_status) =
-                cached_or_synthesize(&store, &mtm, axiom, &o, 4).expect("warm run");
+            let (warm, warm_status) = cached(&store, &mtm, axiom, &o, 4).expect("warm run");
             assert!(warm_status.is_hit(), "{axiom} {backend:?}");
 
             // The rendered suites — what the CLI prints — are identical
@@ -109,7 +122,7 @@ fn streaming_reader_iterates_without_materializing() {
     let mtm = x86t_elt();
     let (store, dir) = temp_store("stream");
     let o = opts(4, Backend::Explicit);
-    let (suite, _) = cached_or_synthesize(&store, &mtm, "sc_per_loc", &o, 2).expect("seeds");
+    let (suite, _) = cached(&store, &mtm, "sc_per_loc", &o, 2).expect("seeds");
     let fp = suite_fingerprint(&mtm, "sc_per_loc", &o);
 
     let mut reader = store.open_suite(fp).expect("opens");
@@ -136,9 +149,9 @@ fn distinct_options_get_distinct_entries() {
     let mut no_fences = base.clone();
     no_fences.enumeration.allow_fences = false;
     no_fences.enumeration.allow_rmw = false;
-    cached_or_synthesize(&store, &mtm, "sc_per_loc", &base, 2).expect("runs");
-    cached_or_synthesize(&store, &mtm, "sc_per_loc", &no_fences, 2).expect("runs");
-    cached_or_synthesize(&store, &mtm, "invlpg", &no_fences, 2).expect("runs");
+    cached(&store, &mtm, "sc_per_loc", &base, 2).expect("runs");
+    cached(&store, &mtm, "sc_per_loc", &no_fences, 2).expect("runs");
+    cached(&store, &mtm, "invlpg", &no_fences, 2).expect("runs");
     assert_eq!(store.entries().expect("lists").len(), 3);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -149,12 +162,9 @@ fn timed_out_runs_are_returned_but_never_sealed() {
     let (store, dir) = temp_store("timeout");
     let mut o = opts(6, Backend::Explicit);
     o.timeout = Some(std::time::Duration::ZERO);
-    let (suite, status) = cached_or_synthesize(&store, &mtm, "sc_per_loc", &o, 2).expect("runs");
+    let (suite, status) = cached(&store, &mtm, "sc_per_loc", &o, 2).expect("runs");
     assert!(suite.stats.timed_out);
-    assert!(matches!(
-        status,
-        transform_store::CacheStatus::Uncached { .. }
-    ));
+    assert!(matches!(status, CacheStatus::Uncached { .. }));
     assert!(store.entries().expect("lists").is_empty(), "nothing sealed");
     // No temp litter either: pending directories are cleaned up.
     let leftovers: Vec<_> = std::fs::read_dir(store.root()).expect("readable").collect();

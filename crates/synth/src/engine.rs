@@ -208,14 +208,6 @@ pub struct SynthPlan {
     pub programs: usize,
     /// Whether enumeration itself hit the deadline.
     pub timed_out: bool,
-    /// For a timed-out *partitioned* plan (`transform-par`): the first
-    /// enumeration partition the deadline cut. Every partition below it
-    /// is fully planned and everything from it on is dropped, so the
-    /// plan is a well-defined prefix of the deadline-free plan instead
-    /// of a worker-race-dependent subset. `None` for complete plans and
-    /// for the sequential planner (whose timed-out tail is inherently
-    /// mid-stream).
-    pub cut_at_partition: Option<usize>,
     /// Whether the MTM observes `co_pa`/`fr_pa` (relation-aware
     /// execution branching).
     pub branch_co_pa: bool,
@@ -319,7 +311,6 @@ pub fn plan_from_keyed(
         items,
         programs,
         timed_out,
-        cut_at_partition: None,
         branch_co_pa,
     }
 }
