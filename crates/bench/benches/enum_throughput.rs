@@ -21,13 +21,6 @@
 //!   bar: ≤ 5% even at the short bound-5 point, where a hot-polling
 //!   sampler used to steal a visible slice of a two-core budget.
 //!
-//! * fleet wire tax: the all-axiom bound-5 run driven through a
-//!   loopback coordinator by two leasing workers (`JobSpec` →
-//!   `POST /v1/lease` → `execute_lease` → `PUT /v1/shard` → ordinal
-//!   merge) vs the same fused run in-process, recorded as the `fleet`
-//!   section — the per-job overhead a real multi-machine fleet
-//!   amortizes across hosts.
-//!
 //! Besides the per-point measurements, the run writes the numbers to
 //! `BENCH_enum.json` at the workspace root so the perf trajectory is
 //! tracked across PRs.
@@ -37,7 +30,6 @@ use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use transform_par::{default_jobs, ProgressState, Run, StreamMetrics, SuiteSink};
-use transform_store::{execute_lease, read_suite, suite_fingerprint, HttpTier, JobSpec, Store};
 use transform_synth::programs::EnumSpace;
 use transform_synth::{ShardStats, SuiteRecord, SynthOptions};
 use transform_x86::x86t_elt;
@@ -264,93 +256,6 @@ fn measure_all_axioms(bound: usize) -> AllAxiomsPoint {
     }
 }
 
-/// The distributed headline: an all-axiom run driven through a loopback
-/// coordinator by two leasing workers vs the same fused run in-process.
-/// The fleet pays the HTTP round-trips, shard encode/upload, and the
-/// coordinator's ordinal merge; the suites must come out identical
-/// program-for-program, and the wall-clock ratio is the wire tax a real
-/// multi-machine fleet amortizes across hosts.
-struct FleetPoint {
-    bound: usize,
-    workers: usize,
-    ranges: usize,
-    axioms: usize,
-    elts_total: usize,
-    local_secs: f64,
-    fleet_secs: f64,
-}
-
-fn measure_fleet(bound: usize, workers: usize) -> FleetPoint {
-    use transform_serve::{ServeOptions, Server};
-    let mtm = x86t_elt();
-    let o = opts(bound);
-    let jobs = jobs();
-    let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
-
-    let start = Instant::now();
-    let local = Run::new(&mtm, &axioms, &o, jobs).collect();
-    let local_secs = start.elapsed().as_secs_f64();
-
-    let root = std::env::temp_dir().join(format!(
-        "transform-bench-fleet-{}-{bound}",
-        std::process::id()
-    ));
-    std::fs::remove_dir_all(&root).ok();
-    let server = Server::bind(&root, "127.0.0.1:0", ServeOptions::default()).expect("binds");
-    let url = format!("http://{}", server.local_addr());
-    let handle = server.spawn();
-
-    let spec = JobSpec::for_run(&mtm, &axioms, &o, jobs as u32, workers * 2, 60_000);
-    let ranges = spec.ranges.len();
-    let start = Instant::now();
-    let client = HttpTier::new(&url).expect("valid URL");
-    let job = client.create_job(&spec.encode()).expect("job accepted");
-    let crews: Vec<_> = (0..workers)
-        .map(|_| {
-            let url = url.clone();
-            std::thread::spawn(move || {
-                let client = HttpTier::new(&url).expect("valid URL");
-                while let Some(grant) = client.lease("bench-worker").expect("lease call") {
-                    let bytes = execute_lease(&grant, jobs).expect("range runs").encode();
-                    client
-                        .put_shard(grant.job, grant.lo, grant.hi, &bytes)
-                        .expect("upload");
-                }
-            })
-        })
-        .collect();
-    for crew in crews {
-        crew.join().expect("worker joins");
-    }
-    let status = client.job_status(job).expect("status").expect("known");
-    assert!(status.complete, "the drained fleet sealed the job");
-    let fleet_secs = start.elapsed().as_secs_f64();
-    handle.shutdown();
-
-    let store = Store::open(&root).expect("opens");
-    let mut elts_total = 0usize;
-    for axiom in &axioms {
-        let fp = suite_fingerprint(&mtm, axiom, &o);
-        let sealed = read_suite(store.open_suite(fp).expect("sealed")).expect("reads");
-        let reference = &local[*axiom];
-        assert_eq!(sealed.elts.len(), reference.elts.len(), "{axiom}");
-        for (a, b) in sealed.elts.iter().zip(&reference.elts) {
-            assert_eq!(a.program, b.program, "{axiom}: fleet diverged from local");
-        }
-        elts_total += sealed.elts.len();
-    }
-    std::fs::remove_dir_all(&root).ok();
-    FleetPoint {
-        bound,
-        workers,
-        ranges,
-        axioms: axioms.len(),
-        elts_total,
-        local_secs,
-        fleet_secs,
-    }
-}
-
 fn throughput_summary(_c: &mut Criterion) {
     let points: Vec<Point> = [5usize, 6].iter().map(|&b| measure(b)).collect();
     for p in &points {
@@ -383,20 +288,6 @@ fn throughput_summary(_c: &mut Criterion) {
         all.fused_secs,
         all.elts_total,
     );
-    let fleet = measure_fleet(5, 2);
-    println!(
-        "enum_throughput fleet: {} axioms @ bound {} --fences --rmw, {} loopback workers \
-         over {} leased ranges: local fused {:.3}s vs fleet {:.3}s ({:.2}x wire tax), \
-         {} ELTs total, merged suites identical",
-        fleet.axioms,
-        fleet.bound,
-        fleet.workers,
-        fleet.ranges,
-        fleet.local_secs,
-        fleet.fleet_secs,
-        fleet.fleet_secs / fleet.local_secs.max(f64::EPSILON),
-        fleet.elts_total,
-    );
 
     let body = points
         .iter()
@@ -410,29 +301,13 @@ fn throughput_summary(_c: &mut Criterion) {
         ),
         all.bound, all.axioms, all.elts_total, all.fused_secs,
     );
-    let fleet_body = format!(
-        concat!(
-            "{{\"bound\": {}, \"fences\": true, \"rmw\": true, \"workers\": {}, ",
-            "\"ranges\": {}, \"axioms\": {}, \"elts_total\": {}, ",
-            "\"local_secs\": {:.6}, \"fleet_secs\": {:.6}, \"fleet_vs_local\": {:.3}}}"
-        ),
-        fleet.bound,
-        fleet.workers,
-        fleet.ranges,
-        fleet.axioms,
-        fleet.elts_total,
-        fleet.local_secs,
-        fleet.fleet_secs,
-        fleet.fleet_secs / fleet.local_secs.max(f64::EPSILON),
-    );
     let json = format!(
         "{{\n  \"bench\": \"enum_throughput\",\n  \"axiom\": \"{AXIOM}\",\n  \
          \"jobs\": {},\n  \"points\": [\n    {}\n  ],\n  \
-         \"all_axioms\": {},\n  \"fleet\": {}\n}}\n",
+         \"all_axioms\": {}\n}}\n",
         jobs(),
         body,
         all_body,
-        fleet_body,
     );
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_enum.json");
     std::fs::write(&path, json).expect("BENCH_enum.json is writable");

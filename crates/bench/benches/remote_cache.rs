@@ -1,5 +1,5 @@
 //! The shared-cache wire path, measured over a loopback
-//! `transform-serve` instance: what a fleet-wide cache hit costs
+//! `transform-serve` instance: what a shared cache hit costs
 //! compared to resynthesizing, and compared to a local hit.
 //!
 //! Three temperatures of the same lookup:
@@ -8,7 +8,7 @@
 //!   locally, push the sealed bytes to the server;
 //! * **warm-remote** — empty local tier, seeded remote: fetch the
 //!   sealed bytes, validate every byte into the local tier, serve
-//!   (the fleet-wide-cache payoff: someone else's synthesis, one
+//!   (the shared-cache payoff: someone else's synthesis, one
 //!   round-trip away);
 //! * **warm-local** — seeded local tier: the read-through population's
 //!   payoff — later lookups never touch the network again.

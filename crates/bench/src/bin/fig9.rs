@@ -14,7 +14,7 @@
 //! store and later sweeps stream them back instead of resynthesizing —
 //! re-running a week-long sweep costs seconds. With `--cache-url`, a
 //! shared `transform serve` endpoint sits behind the local store:
-//! points anyone in the fleet already swept stream from the remote, and
+//! points any client of the cache already swept stream from the remote, and
 //! freshly completed points are pushed back for everyone else.
 //!
 //! The paper ran each point under a one-week timeout on a server; the

@@ -86,8 +86,6 @@ usage: transform synthesize --axiom A|--all --bound N [--mtm M]
            [--quiet] [--jobs N|auto] [--backend explicit|relational]
            [--partition-size N|auto] [--progress[=human|json]]
            [--cache DIR] [--cache-url URL] [--out FILE]
-           [--workers URL[,URL...]] [--lease-ttl-secs S]
-           [--fleet-ranges N]
 
 Synthesize the per-axiom spanning-set suite of enhanced litmus tests at
 an instruction bound — one axiom, or with --all every axiom of the MTM
@@ -113,33 +111,12 @@ flags:
 {PARTITION_FLAG}
 {PROGRESS_FLAG}
 
-fleet (distributed synthesis):
-  --workers URL[,URL...]  run the synthesis on a worker fleet instead of
-                         locally: the run is registered as a job on the
-                         coordinator (a `transform serve` instance; the
-                         first URL), `transform worker` processes lease
-                         its mass-balanced partition ranges and upload
-                         shard results, and the fleet-sealed suites are
-                         pulled back into --cache (required) — byte-
-                         identical to a local run at any worker count,
-                         including under worker death and lease expiry.
-                         --timeout-secs cuts the job instead of sealing
-  --lease-ttl-secs S     how long a worker may go without a heartbeat
-                         before its range is reclaimed (default 30)
-  --fleet-ranges N       how many leasable ranges the plan splits into
-                         (default 2x --jobs, at least 4); scheduling
-                         only — it never changes the suite
-
 caching:
 {CACHE_FLAGS}
 
 example:
   transform synthesize --all --bound 5 --fences --rmw --jobs auto \\
       --progress --cache store --cache-url http://cache.internal:7171
-
-  # drive a worker fleet from one invocation (workers run elsewhere):
-  transform synthesize --all --bound 5 --jobs auto --cache store \\
-      --workers http://coordinator:7171
 "
         ),
         "compare" => format!(
@@ -191,7 +168,7 @@ usage: transform query --cache DIR [--mtm-name M] [--axiom A] [--bound N]
            [--backend B] [--shape S] [--fences] [--rmw]
 
 List the ELTs of a local suite cache, filtered by entry key and test
-shape, without resynthesizing anything. (To query a fleet-wide cache,
+shape, without resynthesizing anything. (To query a shared cache,
 `transform store pull` it into a local directory first.)
 
 flags:
@@ -231,7 +208,7 @@ example:
 usage: transform serve --root DIR [--addr HOST:PORT] [--threads N]
            [--verbose]
 
-Serve a suite store over HTTP as a fleet-wide shared cache. Clients
+Serve a suite store over HTTP as a shared cache. Clients
 point `--cache-url` at it: GET/HEAD /v1/suite/<fingerprint> serves
 sealed entries, PUT uploads them (validated byte-for-byte before
 sealing, idempotent), GET /v1/index serves the entry index,
@@ -243,14 +220,6 @@ journals replicate too: GET /v1/runs lists the recorded run manifests,
 GET/PUT /v1/runs/<id> fetch and publish full journals (validated, and
 rewritable so live runs can heartbeat). Entries are content-addressed
 and immutable, so serving is replication-safe by construction.
-
-The same instance is the synthesis-fleet coordinator: POST /v1/jobs
-registers a job (`synthesize --workers` does this), POST /v1/lease
-hands mass-balanced partition ranges to `transform worker` processes,
-heartbeats renew leases (a silent worker's range is reclaimed and
-reassigned), PUT /v1/shard/... stages checksummed shard results
-idempotently, and the last range in triggers the deterministic merge
-that seals suites byte-identical to a single-machine run.
 
 flags:
   --root DIR             the store directory to serve (required; created
@@ -264,43 +233,10 @@ example:
   transform serve --root /srv/transform-store --addr 0.0.0.0:7171
 "
         .to_string(),
-        "worker" => "\
-usage: transform worker --url URL [--jobs N|auto] [--poll-secs N]
-           [--drain] [--idle-secs N] [--name NAME]
-
-A synthesis-fleet worker. Polls the coordinator (a `transform serve`
-instance) for leases over POST /v1/lease, runs the fused pipeline over
-each leased partition range (the admission prefix is replayed for
-global dedup, so the shard is byte-identical to the same range of a
-single-machine run), heartbeats while computing, and uploads the
-checksummed shard result over PUT /v1/shard. Uploads are idempotent:
-retries and duplicate completions (for example after this worker's
-lease expired and the range was reassigned) merge conflict-free. A
-failed range is abandoned so its lease expires and the coordinator
-reassigns it.
-
-flags:
-  --url URL              the coordinator endpoint (http://host:port)
-  --jobs N|auto          worker threads per leased range (`auto` = all
-                         cores); never changes the uploaded shard
-  --poll-secs N          how often to re-poll an idle coordinator
-                         (default 1)
-  --drain                exit once the coordinator has had no work for
-                         --idle-secs; without it the worker serves
-                         forever
-  --idle-secs N          the --drain grace period (default 5) — long
-                         enough for a fleet client to register its job
-  --name NAME            the worker name in coordinator logs (default
-                         worker-<pid>)
-
-example:
-  transform worker --url http://coordinator:7171 --jobs auto --drain
-"
-        .to_string(),
         "top" => "\
 usage: transform top --url URL [--interval-secs N] [--once]
 
-A live fleet view of a `transform serve` instance: polls its
+A live view of a `transform serve` instance: polls its
 /v1/metrics endpoint and renders entries, suite hits/misses, puts,
 byte counters, in-flight connections, and a per-route table of request
 counts, delta-based rates, and average latencies — then merges in
@@ -387,8 +323,9 @@ usage: transform store gc --cache DIR [--older-than-days N]
            [--keep-list FILE] [--dry-run]
 
 Age out cached suites by mtime and/or a keep-list of fingerprints,
-sweep leftover tmp-* shard directories and the retired admission-digest
-files (*.tfd) older stores hold, and (with --older-than-days) age out
+sweep leftover tmp-* shard directories and the files of retired formats
+older stores hold (admission digests *.tfd and a former coordinator's
+fleet/ staging tree), and (with --older-than-days) age out
 run journals by the same cutoff.
 
 flags:

@@ -17,13 +17,9 @@
 //!   reporting (and optionally removing) corrupt entries;
 //! * `store gc` — age out cached suites by mtime and/or a keep-list of
 //!   fingerprints, and sweep leftover shard directories;
-//! * `serve` — serve a suite store over HTTP as a fleet-wide shared
-//!   cache (`transform-serve`); clients point `--cache-url` at it; the
-//!   same instance doubles as the synthesis-fleet coordinator;
-//! * `worker` — a fleet worker: lease mass-balanced partition ranges
-//!   from a coordinator, run the fused pipeline over each, heartbeat
-//!   while computing, and upload content-addressed shard results;
-//! * `top` — a live fleet view of a `serve` instance, polled from its
+//! * `serve` — serve a suite store over HTTP as a shared cache
+//!   (`transform-serve`); clients point `--cache-url` at it;
+//! * `top` — a live view of a `serve` instance, polled from its
 //!   Prometheus `/v1/metrics` endpoint and merged with the recent run
 //!   manifests of `/v1/runs`;
 //! * `runs` — list, inspect, and export the journals that cached
@@ -55,9 +51,7 @@ use transform_core::{figures, pretty, vocab};
 use transform_litmus::format::{parse_elt, print_elt};
 use transform_par::{ProgressState, Run};
 use transform_sim::{check_conformance, explore, Bugs, SimConfig, SimProgram};
-use transform_store::{
-    execute_lease, CacheTier, EntryMeta, Fingerprint, HttpTier, JobSpec, Store, TieredCache,
-};
+use transform_store::{CacheTier, EntryMeta, Fingerprint, HttpTier, Store, TieredCache};
 use transform_synth::engine::{Backend, Suite, SynthOptions};
 use transform_synth::programs::{Program, SlotOp};
 use transform_synth::SuiteRecord;
@@ -76,8 +70,6 @@ commands:
              [--jobs N|auto] [--backend explicit|relational]
              [--partition-size N|auto] [--progress[=human|json]]
              [--cache DIR] [--cache-url URL] [--out FILE]
-             [--workers URL[,URL...]] [--lease-ttl-secs S]
-             [--fleet-ranges N]
   compare --bound N [--timeout-secs S] [--jobs N|auto]
           [--partition-size N|auto] [--progress[=human|json]]
           [--cache DIR] [--cache-url URL]
@@ -86,8 +78,6 @@ commands:
         [--backend B] [--shape S] [--fences] [--rmw]
   export --cache DIR [same filters as query] [--out FILE]
   serve --root DIR [--addr HOST:PORT] [--threads N] [--verbose]
-  worker --url URL [--jobs N|auto] [--poll-secs N] [--drain]
-         [--idle-secs N] [--name NAME]
   top --url URL [--interval-secs N] [--once]
   runs list [--outcome O] [--since ISO8601]
        |show ID|export ID --chrome [--out FILE]
@@ -113,7 +103,7 @@ suite.
 programs, ELTs, mass-based ETA) to stderr while synthesis runs —
 `json` emits one object per line; stdout stays byte-identical either
 way. `top` polls a serve instance's /v1/metrics and /v1/runs for a
-live fleet view, in-flight synthesis runs included.
+live view of the shared cache, in-flight synthesis runs included.
 --cache makes synthesis stream from / seal into a persistent suite
 store keyed on (MTM, axiom, bound, options); corrupt or stale entries
 are detected by checksums and rebuilt. Cached runs also record a
@@ -123,13 +113,8 @@ turns one into a Chrome trace-event file. --cache-url adds a shared
 `transform serve` endpoint behind the local store: local miss, remote
 fetch (validated byte-for-byte), push-on-seal. `check -` and
 `simulate -` read the ELT from stdin. `serve` exposes a store directory
-over HTTP for a fleet-wide shared cache; `store push`/`store pull`
-bulk-replicate sealed entries to/from one. A `serve` instance is also the
-synthesis-fleet coordinator: `synthesize --workers URL` registers the
-run as a fleet job there, `transform worker --url URL` processes lease
-partition ranges and upload shard results, and the client pulls the
-fleet-sealed suites — byte-identical to a single-machine run at any
-worker count, including under worker death and lease expiry.";
+over HTTP for a shared cache; `store push`/`store pull`
+bulk-replicate sealed entries to/from one.";
 
 /// Runs a command line, returning its stdout text.
 ///
@@ -157,7 +142,6 @@ pub fn run(args: &[String]) -> Result<String, String> {
         "query" => cmd_query(opts),
         "export" => cmd_export(opts),
         "serve" => cmd_serve(opts),
-        "worker" => cmd_worker(opts),
         "top" => cmd_top(opts),
         "runs" => cmd_runs(opts),
         "store" => cmd_store(opts),
@@ -272,20 +256,6 @@ fn cmd_synthesize(mut opts: Opts) -> Result<String, String> {
     let cache = opts.value("--cache");
     let cache_url = opts.value("--cache-url");
     let out_file = opts.value("--out");
-    let workers = opts.value("--workers");
-    let lease_ttl = Duration::from_secs(
-        opts.value("--lease-ttl-secs")
-            .map(|s| s.parse().map_err(|_| "--lease-ttl-secs must be a number"))
-            .transpose()?
-            .unwrap_or(30)
-            .max(1),
-    );
-    let fleet_ranges: usize = opts
-        .value("--fleet-ranges")
-        .map(|s| s.parse().map_err(|_| "--fleet-ranges must be a number"))
-        .transpose()?
-        .unwrap_or_else(|| (jobs * 2).max(4))
-        .max(1);
     opts.finish()?;
     let axioms: Vec<String> = match (axiom, all) {
         (Some(_), true) => return Err("--axiom and --all are mutually exclusive".into()),
@@ -306,35 +276,6 @@ fn cmd_synthesize(mut opts: Opts) -> Result<String, String> {
         }
         (None, true) => mtm.axioms().iter().map(|a| a.name.clone()).collect(),
     };
-    // --workers: the fleet client. The run becomes a coordinator job;
-    // remote `transform worker` processes compute the leased ranges and
-    // the sealed suites are pulled back — byte-identical to the local
-    // paths below at any worker count.
-    if let Some(urls) = workers {
-        if cache_url.is_some() {
-            return Err(
-                "--workers and --cache-url are mutually exclusive (the first --workers URL \
-                 already serves as the shared remote tier)"
-                    .into(),
-            );
-        }
-        let dir = cache.as_deref().ok_or(
-            "--workers needs --cache DIR for the local tier (the fleet-sealed suites are \
-             pulled and validated into it)",
-        )?;
-        let suites = fleet_synthesize(
-            &mtm,
-            &axioms,
-            &sopts,
-            jobs,
-            dir,
-            &urls,
-            fleet_ranges,
-            lease_ttl,
-            progress_mode,
-        )?;
-        return render_synthesize_output(&axioms, bound, jobs, &suites, quiet, out_file.as_deref());
-    }
     // --progress: a shared atomics block the run publishes into and a
     // reporter thread renders from (stderr only — stdout is identical
     // to an unobserved run). Cached runs observe unconditionally so the
@@ -362,310 +303,19 @@ fn cmd_synthesize(mut opts: Opts) -> Result<String, String> {
     if let Some(recorder) = recorder {
         recorder.finish();
     }
-    render_synthesize_output(&axioms, bound, jobs, &suites, quiet, out_file.as_deref())
-}
-
-/// The tail every `synthesize` path shares — fleet-pulled and locally
-/// synthesized suites print identically.
-fn render_synthesize_output(
-    axioms: &[String],
-    bound: usize,
-    jobs: usize,
-    suites: &BTreeMap<String, Suite>,
-    quiet: bool,
-    out_file: Option<&str>,
-) -> Result<String, String> {
     let mut out = String::new();
     let render_all = || -> String { axioms.iter().map(|ax| render_suite(&suites[ax])).collect() };
-    if let Some(path) = out_file {
+    if let Some(path) = &out_file {
         std::fs::write(path, render_all()).map_err(|e| format!("cannot write `{path}`: {e}"))?;
         let elts: usize = suites.values().map(|s| s.elts.len()).sum();
         out.push_str(&format!("wrote {elts} ELTs to {path}\n"));
     } else if !quiet {
         out.push_str(&render_all());
     }
-    for ax in axioms {
+    for ax in &axioms {
         out.push_str(&suite_summary(ax, bound, &suites[ax], jobs));
     }
     Ok(out)
-}
-
-/// The `--workers` client: registers the run as a fleet job on every
-/// listed coordinator (idempotent — the job id is the spec's content
-/// hash), waits while `transform worker` processes lease the
-/// mass-balanced partition ranges and upload shard results, and pulls
-/// the fleet-sealed suites (validated byte-for-byte) through the tiered
-/// cache. The coordinator's deterministic ordinal merge makes the
-/// sealed suites byte-identical to a single-machine run at any worker
-/// count, including under worker death, lease expiry, and duplicate
-/// uploads.
-#[allow(clippy::too_many_arguments)]
-fn fleet_synthesize(
-    mtm: &Mtm,
-    axioms: &[String],
-    sopts: &SynthOptions,
-    jobs: usize,
-    dir: &str,
-    urls: &str,
-    ranges: usize,
-    lease_ttl: Duration,
-    progress: Option<ProgressMode>,
-) -> Result<BTreeMap<String, Suite>, String> {
-    let urls: Vec<&str> = urls
-        .split(',')
-        .map(str::trim)
-        .filter(|u| !u.is_empty())
-        .collect();
-    if urls.is_empty() {
-        return Err("--workers needs at least one coordinator URL".into());
-    }
-    // URLs first: a bad URL must not leave an empty store behind.
-    let coordinators: Vec<HttpTier> = urls
-        .iter()
-        .map(|u| HttpTier::new(u).map_err(|e| e.to_string()))
-        .collect::<Result<_, _>>()?;
-    let store = Store::open(dir).map_err(|e| format!("cannot open cache `{dir}`: {e}"))?;
-
-    let names: Vec<&str> = axioms.iter().map(String::as_str).collect();
-    let spec = JobSpec::for_run(
-        mtm,
-        &names,
-        sopts,
-        jobs.max(1) as u32,
-        ranges,
-        lease_ttl.as_millis() as u64,
-    );
-    let job = spec.id();
-    for c in &coordinators {
-        let accepted = c
-            .create_job(&spec.encode())
-            .map_err(|e| format!("coordinator `{}`: {e}", c.url()))?;
-        if accepted != job {
-            return Err(format!(
-                "coordinator `{}` registered job {accepted:016x} for spec {job:016x} — \
-                 coordinator/client version skew",
-                c.url()
-            ));
-        }
-    }
-    // Poll the primary coordinator until every range's shard is staged
-    // and the merge sealed the suites (or the deadline cuts the job).
-    let primary = &coordinators[0];
-    let started = std::time::Instant::now();
-    let mut last = String::new();
-    loop {
-        let status = primary
-            .job_status(job)
-            .map_err(|e| format!("coordinator `{}`: {e}", primary.url()))?
-            .ok_or_else(|| {
-                format!(
-                    "coordinator `{}` lost job {job:016x} (restarted?); re-run to re-register",
-                    primary.url()
-                )
-            })?;
-        if let Some(mode) = progress {
-            let line = match mode {
-                ProgressMode::Human => format!(
-                    "fleet {job:016x}: {}/{} ranges staged, {} leased",
-                    status.staged, status.ranges, status.leased
-                ),
-                ProgressMode::Json => format!(
-                    "{{\"fleet\":\"{job:016x}\",\"ranges\":{},\"staged\":{},\"leased\":{},\
-                     \"complete\":{}}}",
-                    status.ranges, status.staged, status.leased, status.complete
-                ),
-            };
-            if line != last {
-                eprintln!("{line}");
-                last = line;
-            }
-        }
-        if status.cut {
-            return Err(format!(
-                "fleet job {job:016x} was cut on the coordinator; the suites never sealed"
-            ));
-        }
-        if status.complete {
-            break;
-        }
-        if let Some(deadline) = sopts.timeout {
-            if started.elapsed() >= deadline {
-                for c in &coordinators {
-                    c.cut_job(job).ok();
-                }
-                return Err(format!(
-                    "fleet job {job:016x} hit the --timeout-secs deadline after {:.0?}; cut on \
-                     the coordinator with {}/{} ranges staged",
-                    started.elapsed(),
-                    status.staged,
-                    status.ranges,
-                ));
-            }
-        }
-        std::thread::sleep(Duration::from_millis(250));
-    }
-    // Every suite is sealed on the coordinator: read them all through
-    // the tiered cache in one call, so the bytes are validated into the
-    // local store and served exactly like any other remote hit (an
-    // axiom the coordinator lacks joins one local fused run).
-    let remote = HttpTier::new(urls[0]).map_err(|e| e.to_string())?;
-    let tiered = TieredCache::new(store).with_remote(Box::new(remote));
-    let served = tiered
-        .serve(&Run::new(mtm, &names, sopts, jobs))
-        .map_err(|e| format!("cache `{dir}` + `{}`: {e}", urls[0]))?;
-    Ok(served.into_iter().map(|(ax, (s, _))| (ax, s)).collect())
-}
-
-/// `transform worker`: the fleet worker loop. Leases mass-balanced
-/// partition ranges from a coordinator, runs the fused pipeline over
-/// each leased range (the whole admission prefix is replayed for global
-/// dedup, only the leased range is examined), heartbeats while it
-/// computes, and uploads the content-addressed shard result. Uploads
-/// are idempotent and checksummed, so retries and duplicate completions
-/// are conflict-free.
-fn cmd_worker(mut opts: Opts) -> Result<String, String> {
-    let url = opts
-        .value("--url")
-        .ok_or("worker needs --url http://host:port (the coordinator)")?;
-    let jobs = opts.jobs()?;
-    let poll = Duration::from_secs(
-        opts.value("--poll-secs")
-            .map(|s| s.parse().map_err(|_| "--poll-secs must be a number"))
-            .transpose()?
-            .unwrap_or(1)
-            .max(1),
-    );
-    let drain = opts.flag("--drain");
-    let idle = Duration::from_secs(
-        opts.value("--idle-secs")
-            .map(|s| s.parse().map_err(|_| "--idle-secs must be a number"))
-            .transpose()?
-            .unwrap_or(5)
-            .max(1),
-    );
-    let name = opts
-        .value("--name")
-        .unwrap_or_else(|| format!("worker-{}", std::process::id()));
-    opts.finish()?;
-    let client = HttpTier::new(&url).map_err(|e| e.to_string())?;
-    let mut completed = 0usize;
-    let mut idle_since: Option<std::time::Instant> = None;
-    loop {
-        let grant = match client.lease(&name) {
-            Ok(grant) => grant,
-            Err(e) => {
-                if drain {
-                    return Err(format!("coordinator `{url}`: {e}"));
-                }
-                eprintln!("transform worker: coordinator `{url}`: {e}");
-                std::thread::sleep(poll);
-                continue;
-            }
-        };
-        let Some(grant) = grant else {
-            // No work right now. A draining worker waits out the idle
-            // grace first — a fleet client may still be registering the
-            // job, or a peer's death may put a range back on offer.
-            let since = *idle_since.get_or_insert_with(std::time::Instant::now);
-            if drain && since.elapsed() >= idle {
-                break;
-            }
-            std::thread::sleep(poll.min(Duration::from_millis(250)));
-            continue;
-        };
-        idle_since = None;
-        eprintln!(
-            "transform worker: leased job {:016x} range {}..{} (lease {:016x}, ttl {}ms)",
-            grant.job, grant.lo, grant.hi, grant.lease, grant.ttl_ms
-        );
-        if work_one_lease(&url, &grant, jobs)? {
-            completed += 1;
-        }
-    }
-    Ok(format!(
-        "worker `{name}`: {completed} range{} computed and uploaded\n",
-        if completed == 1 { "" } else { "s" }
-    ))
-}
-
-/// Computes one leased range and uploads its shard result, renewing the
-/// lease from a side thread the whole time. Returns whether the upload
-/// landed; a failed range is abandoned (`false`) so its lease expires
-/// and the coordinator reassigns it.
-fn work_one_lease(
-    url: &str,
-    grant: &transform_store::LeaseGrant,
-    jobs: usize,
-) -> Result<bool, String> {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    let stop = Arc::new(AtomicBool::new(false));
-    let beat = {
-        let stop = Arc::clone(&stop);
-        let client = HttpTier::new(url).map_err(|e| e.to_string())?;
-        let lease = grant.lease;
-        // Renew at a third of the TTL, floored so tiny TTLs still beat.
-        let cadence = Duration::from_millis((grant.ttl_ms / 3).clamp(50, 10_000));
-        std::thread::spawn(move || {
-            while !stop.load(Ordering::Relaxed) {
-                // A refused renewal means the lease lapsed and the range
-                // was reassigned. Keep computing anyway — uploads are
-                // idempotent, so a duplicate completion is harmless —
-                // but stop beating a dead lease.
-                if let Ok(false) = client.heartbeat(lease) {
-                    return;
-                }
-                let mut slept = Duration::ZERO;
-                while slept < cadence && !stop.load(Ordering::Relaxed) {
-                    let slice = Duration::from_millis(25).min(cadence - slept);
-                    std::thread::sleep(slice);
-                    slept += slice;
-                }
-            }
-        })
-    };
-    let result = execute_lease(grant, jobs);
-    stop.store(true, Ordering::Relaxed);
-    let _ = beat.join();
-    let result = match result {
-        Ok(result) => result,
-        Err(e) => {
-            eprintln!(
-                "transform worker: range {}..{} failed: {e} (lease left to expire)",
-                grant.lo, grant.hi
-            );
-            return Ok(false);
-        }
-    };
-    let bytes = result.encode();
-    let client = HttpTier::new(url).map_err(|e| e.to_string())?;
-    let mut delay = Duration::from_millis(200);
-    for attempt in 1..=3 {
-        match client.put_shard(grant.job, grant.lo, grant.hi, &bytes) {
-            Ok(outcome) => {
-                eprintln!(
-                    "transform worker: uploaded job {:016x} range {}..{} ({} bytes, {:?})",
-                    grant.job,
-                    grant.lo,
-                    grant.hi,
-                    bytes.len(),
-                    outcome
-                );
-                return Ok(true);
-            }
-            Err(e) if attempt < 3 => {
-                eprintln!("transform worker: upload attempt {attempt} failed: {e}; retrying");
-                std::thread::sleep(delay);
-                delay *= 2;
-            }
-            Err(e) => {
-                return Err(format!(
-                    "upload of job {:016x} range {}..{} failed after {attempt} attempts: {e}",
-                    grant.job, grant.lo, grant.hi
-                ))
-            }
-        }
-    }
-    unreachable!("the retry loop returns on success or final failure")
 }
 
 /// The one-line per-suite summary `synthesize` prints (per axiom, for
@@ -863,7 +513,7 @@ fn cmd_compare(mut opts: Opts) -> Result<String, String> {
     Ok(transform_x86::compare::render(&cmp))
 }
 
-/// `transform top`: a live fleet view of a `transform serve` instance,
+/// `transform top`: a live view of a `transform serve` instance,
 /// polled from its `/v1/metrics` endpoint. `--once` prints a single
 /// frame (scripts, CI smoke tests); otherwise redraws until killed.
 fn cmd_top(mut opts: Opts) -> Result<String, String> {
@@ -943,7 +593,7 @@ fn cmd_top(mut opts: Opts) -> Result<String, String> {
 }
 
 /// Where `transform runs` reads journals from: a local store directory
-/// or a served fleet cache.
+/// or a served shared cache.
 enum RunSource {
     Local(Store),
     Remote(HttpTier),
@@ -1257,7 +907,7 @@ fn cmd_export(mut opts: Opts) -> Result<String, String> {
 }
 
 /// `transform serve`: expose a store directory over HTTP as a
-/// fleet-wide shared cache. Blocks until the process is stopped.
+/// shared cache. Blocks until the process is stopped.
 fn cmd_serve(mut opts: Opts) -> Result<String, String> {
     let root = opts.value("--root").ok_or("serve needs --root DIR")?;
     let addr = opts
@@ -1572,8 +1222,9 @@ fn cmd_store_gc(mut opts: Opts) -> Result<String, String> {
             }
         }
     }
-    // Admission digests (`.tfd`) of the retired warm-start path are
-    // dead weight: nothing reads them any more.
+    // Admission digests (`.tfd`) of the retired warm-start path and
+    // the staging tree of the retired fleet coordinator are dead
+    // weight: nothing reads them any more.
     let retired = store
         .retired_files()
         .map_err(|e| format!("cache `{dir}`: {e}"))?;
@@ -1581,8 +1232,12 @@ fn cmd_store_gc(mut opts: Opts) -> Result<String, String> {
         if dry {
             out.push_str(&format!("would delete {}\n", path.display()));
         } else {
-            std::fs::remove_file(path)
-                .map_err(|e| format!("cannot delete {}: {e}", path.display()))?;
+            let removed = if path.is_dir() {
+                std::fs::remove_dir_all(path)
+            } else {
+                std::fs::remove_file(path)
+            };
+            removed.map_err(|e| format!("cannot delete {}: {e}", path.display()))?;
         }
     }
     let tmp = if dry {
@@ -1599,7 +1254,7 @@ fn cmd_store_gc(mut opts: Opts) -> Result<String, String> {
         store.rebuild_index().ok();
     }
     out.push_str(&format!(
-        "{}{} entr{} removed, {} kept, {} tmp dir{} swept, {} retired digest{} deleted, {} run journal{} removed\n",
+        "{}{} entr{} removed, {} kept, {} tmp dir{} swept, {} retired file{} deleted, {} run journal{} removed\n",
         if dry { "[dry-run] " } else { "" },
         removed,
         if removed == 1 { "y" } else { "ies" },
@@ -2194,7 +1849,7 @@ mod tests {
         .expect("gcs");
         assert!(
             out.contains(
-                "1 entry removed, 1 kept, 1 tmp dir swept, 0 retired digests deleted, \
+                "1 entry removed, 1 kept, 1 tmp dir swept, 0 retired files deleted, \
                  2 run journals removed"
             ),
             "{out}"
@@ -2255,7 +1910,6 @@ mod tests {
             "query",
             "export",
             "serve",
-            "worker",
             "top",
             "runs",
             "store",
@@ -2324,14 +1978,11 @@ mod tests {
         assert!(runs_help.contains("--url URL"), "{runs_help}");
         assert!(runs_help.contains("--outcome O"), "{runs_help}");
         assert!(runs_help.contains("--since ISO8601"), "{runs_help}");
-        // The fleet trio: client flag, worker daemon, coordinator routes.
-        assert!(synth.contains("--workers URL"), "{synth}");
-        assert!(synth.contains("--lease-ttl-secs S"), "{synth}");
-        let worker = run_str("worker --help").expect("help");
-        assert!(worker.contains("--url URL"), "{worker}");
-        assert!(worker.contains("--drain"), "{worker}");
-        assert!(serve.contains("/v1/lease"), "{serve}");
-        assert!(serve.contains("/v1/shard"), "{serve}");
+        // The retired fleet worker is an unknown command.
+        for line in ["worker --help", "worker --url http://127.0.0.1:1 --drain"] {
+            let e = run_str(line).unwrap_err();
+            assert_eq!(e, "unknown command `worker`", "{line}");
+        }
     }
 
     #[test]
@@ -2438,134 +2089,6 @@ mod tests {
         }
         handle.shutdown();
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// The tentpole's end-to-end acceptance: one `synthesize --workers`
-    /// invocation drives a loopback coordinator plus two `transform
-    /// worker` loops, and the fleet-sealed suites print identically to
-    /// a single-machine run — then replicate over `store pull`/`store
-    /// push` byte for byte.
-    #[test]
-    fn fleet_workers_and_client_reproduce_the_local_run() {
-        use transform_serve::{ServeOptions, Server};
-        let dir = temp_dir("fleet");
-        let origin = dir.join("origin");
-        let local = dir.join("local");
-        let server = Server::bind(&origin, "127.0.0.1:0", ServeOptions::default()).expect("binds");
-        let url = format!("http://{}", server.local_addr());
-        let handle = server.spawn();
-
-        // Two draining workers; their idle grace outlives the moment
-        // the client registers the job.
-        let workers: Vec<_> = (0..2)
-            .map(|i| {
-                let url = url.clone();
-                std::thread::spawn(move || {
-                    run_str(&format!(
-                        "worker --url {url} --jobs 2 --poll-secs 1 --drain --idle-secs 3 \
-                         --name w{i}"
-                    ))
-                })
-            })
-            .collect();
-
-        // One fleet invocation drives the whole run.
-        let fleet = run_str(&format!(
-            "synthesize --all --bound 4 --jobs 2 --cache {} --workers {url} --fleet-ranges 3",
-            local.display()
-        ))
-        .expect("the fleet run completes");
-        let local_run = run_str("synthesize --all --bound 4 --jobs 2").expect("local run");
-
-        // Byte-identical ELT listings; summary counters equal up to the
-        // wall-clock tail.
-        let split = |s: &str| {
-            let elts: Vec<&str> = s.lines().filter(|l| !l.starts_with("suite `")).collect();
-            let sums: Vec<&str> = s
-                .lines()
-                .filter(|l| l.starts_with("suite `"))
-                .map(|l| l.split(" in ").next().expect("summary has a duration"))
-                .collect();
-            (elts.join("\n"), sums.join("\n"))
-        };
-        assert_eq!(split(&fleet), split(&local_run));
-
-        // Between them, the drained workers computed every range once.
-        let mut ranges = 0usize;
-        for worker in workers {
-            let out = worker.join().expect("joins").expect("the worker drains");
-            let n: usize = out
-                .split_whitespace()
-                .nth(2)
-                .expect("worker summary counts ranges")
-                .parse()
-                .expect("a number");
-            ranges += n;
-        }
-        assert_eq!(ranges, 3, "three leasable ranges, each computed once");
-
-        // The client's local tier now serves the suites with the fleet
-        // gone entirely.
-        handle.shutdown();
-        let warm = run_str(&format!(
-            "synthesize --all --bound 4 --jobs 2 --cache {}",
-            local.display()
-        ))
-        .expect("warm local run");
-        assert_eq!(split(&warm).0, split(&local_run).0);
-
-        // Replication: `store pull` copies the fleet-sealed entries out
-        // of the coordinator store, and `store push` sends them on.
-        let server = Server::bind(&origin, "127.0.0.1:0", ServeOptions::default()).expect("binds");
-        let url = format!("http://{}", server.local_addr());
-        let handle = server.spawn();
-        let mirror = dir.join("mirror");
-        let out = run_str(&format!(
-            "store pull --cache {} --url {url}",
-            mirror.display()
-        ))
-        .expect("pulls");
-        assert!(out.contains("5 entries pulled"), "{out}");
-        handle.shutdown();
-
-        let second = dir.join("second");
-        let server = Server::bind(&second, "127.0.0.1:0", ServeOptions::default()).expect("binds");
-        let url = format!("http://{}", server.local_addr());
-        let handle = server.spawn();
-        let out = run_str(&format!(
-            "store push --cache {} --url {url}",
-            mirror.display()
-        ))
-        .expect("pushes");
-        assert!(out.contains("5 entries pushed"), "{out}");
-        handle.shutdown();
-        // The entries arrived byte-identical at the second coordinator.
-        let a = Store::open(&origin).expect("opens");
-        let b = Store::open(&second).expect("opens");
-        for fp in a.entries().expect("lists") {
-            assert_eq!(
-                a.entry_bytes(fp).expect("readable"),
-                b.entry_bytes(fp).expect("readable"),
-                "{fp}"
-            );
-        }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn fleet_flag_misuse_is_rejected() {
-        let e = run_str("synthesize --axiom invlpg --bound 4 --workers http://127.0.0.1:1")
-            .unwrap_err();
-        assert!(e.contains("--cache"), "{e}");
-        let e = run_str(
-            "synthesize --axiom invlpg --bound 4 --cache x --cache-url http://127.0.0.1:1 \
-             --workers http://127.0.0.1:1",
-        )
-        .unwrap_err();
-        assert!(e.contains("mutually exclusive"), "{e}");
-        // A draining worker against a dead coordinator reports it.
-        let e = run_str("worker --url http://127.0.0.1:1 --drain").unwrap_err();
-        assert!(e.contains("coordinator"), "{e}");
     }
 
     /// The tentpole's acceptance bar: `--progress` may only ever add a
@@ -2801,9 +2324,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// The fleet half of the tentpole: a live run's heartbeat manifest
-    /// published to a serve instance renders in `transform top` with
-    /// its per-axiom progress, and `runs list`/`show` read over --url.
+    /// A live run's heartbeat manifest published to a serve instance
+    /// renders in `transform top` with its per-axiom progress, and
+    /// `runs list`/`show` read over --url.
     #[test]
     fn top_once_shows_live_fleet_runs_from_v1_runs() {
         use transform_serve::{ServeOptions, Server};
@@ -2816,7 +2339,7 @@ mod tests {
         let frame = run_str(&format!("top --once --url {url}")).expect("scrapes");
         assert!(frame.contains("runs: none recorded"), "{frame}");
 
-        // A live synthesis run elsewhere in the fleet: its heartbeat
+        // A live synthesis run on another machine: its heartbeat
         // publishes a Running manifest.
         let manifest = transform_store::RunManifest {
             id: 0x00c0_ffee_0a11_ce00,
@@ -2876,7 +2399,7 @@ mod tests {
     }
 
     /// A `--cache --cache-url` run publishes its sealed journal to the
-    /// remote tier, so the whole fleet sees finished runs.
+    /// remote tier, so every client of the cache sees finished runs.
     #[test]
     fn cached_runs_publish_their_journals_to_the_remote_tier() {
         use transform_serve::{ServeOptions, Server};
@@ -2945,10 +2468,11 @@ mod tests {
         bytes
     }
 
-    /// Stores written while delta entries and admission digests existed
-    /// stay usable: a `TFDELTA` entry is rebuilt and never served,
-    /// `store verify` condemns it, `store gc` deletes the `.tfd`
-    /// digests, and a server refuses the bytes with a plain 400.
+    /// Stores written while delta entries, admission digests and the
+    /// fleet coordinator existed stay usable: a `TFDELTA` entry is
+    /// rebuilt and never served, `store verify` condemns it, `store gc`
+    /// deletes the `.tfd` digests and the `fleet/` staging tree, and a
+    /// server refuses the bytes with a plain 400.
     #[test]
     fn delta_era_stores_rebuild_and_never_serve_retired_entries() {
         use transform_serve::{ServeOptions, Server};
@@ -2972,6 +2496,10 @@ mod tests {
             std::fs::write(cache.join(format!("{stray}.tfd")), b"TFDIGST\0stale")
                 .expect("plants a digest");
         }
+        let fleet = cache.join("fleet");
+        let shard = fleet.join("0123456789abcdef/shard-00000000-00000004.bin");
+        std::fs::create_dir_all(shard.parent().expect("has a parent")).expect("mkdir");
+        std::fs::write(&shard, b"TFSHRES\0stale").expect("plants a staged shard");
 
         // A cached run rebuilds the fingerprint as a full entry and
         // prints exactly the uncached run.
@@ -2992,6 +2520,9 @@ mod tests {
             sealed.starts_with(b"TFSUITE\0"),
             "the rebuilt entry is a full suite"
         );
+        // The coordinator's leftovers never disturb verification.
+        let out = run_str(&format!("store verify --cache {c}")).expect("verifies");
+        assert!(out.contains("1 ok, 0 corrupt of 1 sealed entry"), "{out}");
 
         // verify condemns a planted delta; --remove-corrupt deletes it.
         plant();
@@ -3002,10 +2533,18 @@ mod tests {
         assert!(out.contains("(corrupt entries removed)"), "{out}");
         assert!(!store.contains(fp));
 
-        // gc deletes every retired digest, whatever entry it belonged to.
+        // gc deletes every retired digest, whatever entry it belonged
+        // to, and the whole fleet staging tree.
+        let out = run_str(&format!("store gc --cache {c} --dry-run")).expect("gcs");
+        assert!(
+            out.contains(&format!("would delete {}", fleet.display())),
+            "{out}"
+        );
+        assert!(shard.exists(), "a dry run deletes nothing");
         let out = run_str(&format!("store gc --cache {c}")).expect("gcs");
-        assert!(out.contains("2 retired digests deleted"), "{out}");
+        assert!(out.contains("3 retired files deleted"), "{out}");
         assert!(store.retired_files().expect("lists").is_empty());
+        assert!(!fleet.exists(), "the fleet staging tree is gone");
 
         // A server refuses the bytes with a 400, and keeps serving.
         let server = Server::bind(dir.join("origin"), "127.0.0.1:0", ServeOptions::default())
@@ -3038,9 +2577,10 @@ mod tests {
         assert_eq!(runs.len(), 1);
         let good = runs[0].id;
 
-        // A second run whose one event carries kind byte 10: encode it
-        // as a `Seal`, locate the kind byte against a `Push` encoding,
-        // and rewrite it (re-checksummed, so only the code is wrong).
+        // A second run whose one event carries a retired kind byte
+        // (warm-start 10–11, fleet 12–15): encode it as a `Seal`, locate
+        // the kind byte against a `Push` encoding, and rewrite it
+        // (re-checksummed, so only the code is wrong).
         let mut journal = store.read_run(good).expect("reads");
         journal.manifest.id = good ^ 1;
         journal.events = vec![JournalEvent {
@@ -3059,17 +2599,22 @@ mod tests {
             .zip(&push)
             .position(|(a, b)| a != b)
             .expect("the kind byte differs");
-        let mut retired = seal[..seal.len() - 8].to_vec();
-        retired[at] = 10;
-        let checksum = transform_store::codec::fnv1a64(&retired);
-        retired.extend_from_slice(&checksum.to_le_bytes());
-        std::fs::write(store.run_path(good ^ 1), &retired).expect("plants the journal");
+        for code in 10u8..=15 {
+            let mut retired = seal[..seal.len() - 8].to_vec();
+            retired[at] = code;
+            let checksum = transform_store::codec::fnv1a64(&retired);
+            retired.extend_from_slice(&checksum.to_le_bytes());
+            std::fs::write(store.run_path(good ^ 1), &retired).expect("plants the journal");
 
-        let err = store.read_run(good ^ 1).expect_err("code 10 is retired");
-        assert!(err.to_string().contains("kind byte 10"), "{err}");
-        let list = run_str(&format!("runs list --cache {c}")).expect("lists");
-        assert!(list.contains(&format!("{good:016x}")), "{list}");
-        assert!(!list.contains(&format!("{:016x}", good ^ 1)), "{list}");
+            let err = store.read_run(good ^ 1).expect_err("the code is retired");
+            assert!(
+                err.to_string().contains(&format!("kind byte {code}")),
+                "{err}"
+            );
+            let list = run_str(&format!("runs list --cache {c}")).expect("lists");
+            assert!(list.contains(&format!("{good:016x}")), "{list}");
+            assert!(!list.contains(&format!("{:016x}", good ^ 1)), "{list}");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -1,4 +1,4 @@
-//! The `--progress` reporter and the `transform top` fleet view.
+//! The `--progress` reporter and the `transform top` live view.
 //!
 //! The reporter side: a background thread samples an
 //! [`Arc<ProgressState>`] while an `_observed` synthesis run executes
@@ -8,7 +8,7 @@
 //!
 //! The top side: `transform top` polls a `transform serve` instance's
 //! `/v1/metrics` endpoint, parses the Prometheus text exposition, and
-//! renders a live fleet view with delta-based rates.
+//! renders a live view with delta-based rates.
 
 use std::io::IsTerminal;
 use std::sync::atomic::{AtomicBool, Ordering};

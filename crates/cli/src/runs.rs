@@ -5,7 +5,7 @@
 //! The recorder wraps a run's [`ProgressState`]: a heartbeat thread
 //! periodically writes a `Running` manifest into the store (and pushes
 //! it to the remote tier when one is configured) so `transform runs`
-//! and the serve fleet view see in-flight runs, and `finish` seals the
+//! and `transform top` see in-flight runs, and `finish` seals the
 //! final journal — manifest plus the full drained event stream — with
 //! the run's real outcome. Recording is strictly best-effort: a store
 //! or remote that refuses a journal never fails the synthesis, and the

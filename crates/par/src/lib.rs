@@ -193,20 +193,10 @@ pub struct Run<'a> {
     /// [`AxiomState::Cached`]); the run binds its own axioms by name.
     /// Observation is lock-free sampling and never changes a result.
     pub progress: Option<&'a Arc<ProgressState>>,
-    /// The fleet's work unit, `(plan_jobs, lo, hi)`: examine only the
-    /// partition range `[lo, hi)` of the plan a `plan_jobs`-way
-    /// partitioning produces (global ordinals of [`space_for`]`(opts,
-    /// plan_jobs)`). The whole prefix `[0, hi)` is enumerated and
-    /// admitted — dedup state and plan indices stay global — so ranges
-    /// that tile `[0, partition_count)` yield records and semantic
-    /// counters whose ordinal-ordered concatenation is exactly the
-    /// whole-space run, at any `jobs`. `None` runs the whole space
-    /// partitioned `jobs` ways.
-    pub range: Option<(usize, usize, usize)>,
 }
 
 impl<'a> Run<'a> {
-    /// An unobserved whole-space run.
+    /// An unobserved run.
     pub fn new(mtm: &'a Mtm, axioms: &'a [&'a str], opts: &'a SynthOptions, jobs: usize) -> Self {
         Run {
             mtm,
@@ -214,7 +204,6 @@ impl<'a> Run<'a> {
             opts,
             jobs,
             progress: None,
-            range: None,
         }
     }
 
@@ -229,10 +218,9 @@ impl<'a> Run<'a> {
     /// # Panics
     ///
     /// Panics when any axiom is not part of `mtm` (or not tracked by
-    /// `progress`), `axioms` and `sinks` disagree in length, or `range`
-    /// does not lie inside `[0, partition_count]`.
+    /// `progress`), or `axioms` and `sinks` disagree in length.
     pub fn stream(&self, sinks: &[&dyn SuiteSink]) -> (Vec<SuiteStats>, StreamMetrics) {
-        stream::run_fused_range(self, sinks)
+        stream::run_fused(self, sinks)
     }
 
     /// Runs the pipeline and collects every axiom's suite in memory,

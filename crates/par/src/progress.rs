@@ -115,26 +115,15 @@ pub enum JournalEventKind {
     Seal,
     /// A sealed suite for `axiom` was pushed to a remote tier.
     Push,
-    /// A fleet coordinator granted a partition-range lease: `a` = the
-    /// job id, `b` = the packed range (`lo << 32 | hi`), `c` = the
-    /// lease id.
-    LeaseGranted,
-    /// A lease's heartbeat lapsed and its range returned to the queue:
-    /// `a` = the job id, `b` = the packed range, `c` = the lease id.
-    LeaseExpired,
-    /// A worker's shard result was accepted: `a` = the job id, `b` =
-    /// the packed range, `c` = the shard payload bytes.
-    ShardUploaded,
-    /// A worker retried a shard upload (or re-ran an expired range):
-    /// `a` = the job id, `b` = the packed range, `c` = the attempt.
-    ShardRetry,
 }
 
 impl JournalEventKind {
     /// The wire byte of the kind (stable across releases — the journal
     /// codec persists it). Codes 10 and 11 belonged to the retired
-    /// warm-start events and are never reused: a journal carrying them
-    /// fails to decode instead of being misread.
+    /// warm-start events, and codes 12–15 to the retired fleet events
+    /// (lease granted/expired, shard uploaded/retried); none is ever
+    /// reused: a journal carrying them fails to decode instead of being
+    /// misread.
     pub fn as_u8(self) -> u8 {
         match self {
             JournalEventKind::RunStart => 0,
@@ -147,10 +136,6 @@ impl JournalEventKind {
             JournalEventKind::RunEnd => 7,
             JournalEventKind::Seal => 8,
             JournalEventKind::Push => 9,
-            JournalEventKind::LeaseGranted => 12,
-            JournalEventKind::LeaseExpired => 13,
-            JournalEventKind::ShardUploaded => 14,
-            JournalEventKind::ShardRetry => 15,
         }
     }
 
@@ -167,10 +152,6 @@ impl JournalEventKind {
             7 => JournalEventKind::RunEnd,
             8 => JournalEventKind::Seal,
             9 => JournalEventKind::Push,
-            12 => JournalEventKind::LeaseGranted,
-            13 => JournalEventKind::LeaseExpired,
-            14 => JournalEventKind::ShardUploaded,
-            15 => JournalEventKind::ShardRetry,
             _ => return None,
         })
     }
@@ -188,10 +169,6 @@ impl JournalEventKind {
             JournalEventKind::RunEnd => "run_end",
             JournalEventKind::Seal => "seal",
             JournalEventKind::Push => "push",
-            JournalEventKind::LeaseGranted => "lease_granted",
-            JournalEventKind::LeaseExpired => "lease_expired",
-            JournalEventKind::ShardUploaded => "shard_uploaded",
-            JournalEventKind::ShardRetry => "shard_retry",
         }
     }
 }
@@ -597,18 +574,16 @@ mod tests {
             JournalEventKind::RunEnd,
             JournalEventKind::Seal,
             JournalEventKind::Push,
-            JournalEventKind::LeaseGranted,
-            JournalEventKind::LeaseExpired,
-            JournalEventKind::ShardUploaded,
-            JournalEventKind::ShardRetry,
         ] {
             assert_eq!(JournalEventKind::from_u8(kind.as_u8()), Some(kind));
             assert!(!kind.name().is_empty());
         }
         assert_eq!(JournalEventKind::from_u8(250), None);
-        // The retired warm-start codes stay unassigned.
-        assert_eq!(JournalEventKind::from_u8(10), None);
-        assert_eq!(JournalEventKind::from_u8(11), None);
+        // The retired warm-start (10, 11) and fleet (12–15) codes stay
+        // unassigned.
+        for retired in 10..=15 {
+            assert_eq!(JournalEventKind::from_u8(retired), None, "code {retired}");
+        }
     }
 
     #[test]

@@ -375,22 +375,11 @@ struct Pipeline<'s> {
     /// meant to avoid. With it, live candidates are bounded by
     /// `window` × the largest partition, independent of the bound.
     window: usize,
-    /// The partition-ordinal range this run *examines*: items admitted
-    /// from partitions below `range.0` are dropped after feeding the
-    /// dedup frontier (their admission state is what keeps plan indices
-    /// global), and enumeration stops at `range.1`. A whole-space run
-    /// is `(0, partition_count)`. This is the fleet's work unit: a
-    /// worker leasing `[lo, hi)` replays the admission prefix `[0, lo)`
-    /// and examines exactly the items planned in `[lo, hi)`, so
-    /// per-range records concatenate into the byte-identical
-    /// whole-space suite.
-    range: (usize, usize),
     state: Mutex<State>,
     cv: Condvar,
 }
 
 impl<'s> Pipeline<'s> {
-    #[allow(clippy::too_many_arguments)]
     fn new(
         space: &'s EnumSpace,
         axiom_names: &[&str],
@@ -398,14 +387,7 @@ impl<'s> Pipeline<'s> {
         deadline: Option<Instant>,
         jobs: usize,
         fixed_batch: Option<usize>,
-        range: Option<(usize, usize)>,
     ) -> Self {
-        let range = range.unwrap_or((0, space.partition_count()));
-        assert!(
-            range.0 <= range.1 && range.1 <= space.partition_count(),
-            "examine range {range:?} must lie within the {}-partition space",
-            space.partition_count()
-        );
         let axioms = axiom_names.len();
         let progress = match progress {
             Some(p) => Arc::clone(p),
@@ -442,7 +424,6 @@ impl<'s> Pipeline<'s> {
             slots,
             deadline,
             window: (2 * jobs).max(2),
-            range,
             state: Mutex::new(State {
                 next_enum: 0,
                 enumerating: 0,
@@ -514,7 +495,7 @@ impl<'s> Pipeline<'s> {
                 return Some(Task::Examine(batch));
             }
             if !st.expired
-                && st.next_enum < self.range.1
+                && st.next_enum < self.space.partition_count()
                 && st.next_enum < st.frontier + self.window
             {
                 let ord = st.next_enum;
@@ -522,7 +503,7 @@ impl<'s> Pipeline<'s> {
                 st.enumerating += 1;
                 return Some(Task::Enumerate(ord));
             }
-            let enumeration_settled = st.expired || st.enum_settled(self.range.1);
+            let enumeration_settled = st.expired || st.enum_settled(self.space.partition_count());
             if enumeration_settled && st.exam.is_empty() {
                 return None;
             }
@@ -590,13 +571,6 @@ impl<'s> Pipeline<'s> {
                         self.masses[st.frontier],
                         0,
                     );
-                    if st.frontier < self.range.0 {
-                        // Below the leased range: this prefix partition
-                        // only feeds the dedup frontier so plan indices
-                        // stay global; nothing here is examined.
-                        st.live -= items.len();
-                        items.clear();
-                    }
                     let target = st.tuner.target_weight();
                     while !items.is_empty() {
                         let take = match target {
@@ -649,7 +623,7 @@ impl<'s> Pipeline<'s> {
                 0,
             );
         }
-        let done = st.newly_complete(self.range.1);
+        let done = st.newly_complete(self.space.partition_count());
         self.publish(&st);
         self.cv.notify_all();
         done
@@ -699,14 +673,14 @@ impl<'s> Pipeline<'s> {
             // abandoned. Axioms whose schedule already retired stay
             // complete.
             st.axiom_cut[axiom] = true;
-            if st.cut_at.is_none() && st.frontier < self.range.1 {
+            if st.cut_at.is_none() && st.frontier < self.space.partition_count() {
                 st.cut_at = Some(st.frontier);
                 self.progress
                     .record(JournalEventKind::Cut, None, st.frontier as u64, 0, 0);
             }
             Self::expire(&mut st);
         }
-        let done = st.newly_complete(self.range.1);
+        let done = st.newly_complete(self.space.partition_count());
         self.publish(&st);
         self.cv.notify_all();
         done
@@ -871,14 +845,13 @@ fn finish_axiom(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, ai: usize) {
 /// batches into the per-axiom sinks. Partitions are enumerated once and
 /// their admitted chunks shared across axioms; each axiom's `run_done`
 /// fires the moment its schedule retires. Returns per-axiom counters
-/// (in `axioms` order) and the run's scheduling metrics. A fleet range
-/// ([`Run::range`]) examines only the items admitted inside it.
+/// (in `axioms` order) and the run's scheduling metrics.
 ///
 /// # Panics
 ///
-/// Panics when any axiom is not part of `mtm`, `axioms` and `sinks`
-/// disagree in length, or the range does not lie inside the space.
-pub(crate) fn run_fused_range(
+/// Panics when any axiom is not part of `mtm`, or `axioms` and `sinks`
+/// disagree in length.
+pub(crate) fn run_fused(
     run: &Run<'_>,
     sinks: &[&dyn SuiteSink],
 ) -> (Vec<SuiteStats>, StreamMetrics) {
@@ -894,14 +867,9 @@ pub(crate) fn run_fused_range(
         );
     }
     let jobs = run.jobs.max(1);
-    let (plan_jobs, range) = match run.range {
-        Some((plan_jobs, lo, hi)) => (plan_jobs, Some((lo, hi))),
-        None => (jobs, None),
-    };
     let start = Instant::now();
     let deadline = opts.timeout.map(|t| start + t);
-    let space = crate::space_for(opts, plan_jobs.max(1));
-    let range = range.unwrap_or((0, space.partition_count()));
+    let space = crate::space_for(opts, jobs);
     let branch_co_pa = branches_co_pa(mtm);
     let pipeline = Pipeline::new(
         &space,
@@ -910,7 +878,6 @@ pub(crate) fn run_fused_range(
         deadline,
         jobs,
         opts.partition_size,
-        Some(range),
     );
     pipeline.progress.record(
         JournalEventKind::RunStart,
@@ -968,7 +935,7 @@ pub(crate) fn run_fused_range(
                     // trivially). Its run_done still fires exactly once
                     // — sinks never seal timed-out runs.
                     let complete = !st.expired
-                        && st.enum_settled(range.1)
+                        && st.enum_settled(space.partition_count())
                         && st.remaining[ai] == 0
                         && !st.axiom_cut[ai];
                     progress.set_axiom_state(
@@ -1088,7 +1055,7 @@ mod tests {
         let eo = enum_opts(4, true);
         let space = EnumSpace::with_target_partitions(&eo, 8);
         assert!(space.partition_count() >= 3, "space too small for the test");
-        let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None, None);
+        let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None);
         // Claim the first three enumeration tasks.
         for expect in 0..3 {
             match pipeline.next_task() {
@@ -1126,7 +1093,6 @@ mod tests {
             None,
             space.partition_count(),
             None,
-            None,
         );
         for ordinal in 0..space.partition_count() {
             match pipeline.next_task() {
@@ -1163,7 +1129,7 @@ mod tests {
         let eo = enum_opts(4, true);
         let space = EnumSpace::with_target_partitions(&eo, 8);
         assert!(space.partition_count() >= 3, "space too small for the test");
-        let pipeline = Pipeline::new(&space, &["a"], None, None, 3, None, None);
+        let pipeline = Pipeline::new(&space, &["a"], None, None, 3, None);
         for expect in 0..3 {
             match pipeline.next_task() {
                 Some(Task::Enumerate(ord)) => assert_eq!(ord, expect),
@@ -1211,7 +1177,7 @@ mod tests {
         let eo = enum_opts(4, true);
         let space = EnumSpace::with_target_partitions(&eo, 8);
         let masses = space.masses();
-        let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None, None);
+        let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None);
         assert_eq!(pipeline.progress.snapshot().mass_total, space.total_mass());
         for ordinal in 0..space.partition_count() {
             loop {
@@ -1242,101 +1208,11 @@ mod tests {
         assert!(snap.enumeration_eta().is_some());
     }
 
-    /// A sink retaining every record with its plan index — what the
-    /// store's shard files keep.
-    struct RecordSink {
-        records: Mutex<Vec<SuiteRecord>>,
-    }
-
-    impl RecordSink {
-        fn new() -> RecordSink {
-            RecordSink {
-                records: Mutex::new(Vec::new()),
-            }
-        }
-
-        fn take(self) -> Vec<SuiteRecord> {
-            let mut records = self.records.into_inner().expect("sink lock");
-            records.sort_by_key(|r| r.index);
-            records
-        }
-    }
-
-    impl SuiteSink for RecordSink {
-        fn shard_done(&self, _stats: ShardStats, records: Vec<SuiteRecord>) {
-            self.records
-                .lock()
-                .expect("sink lock is never poisoned")
-                .extend(records);
-        }
-    }
-
     fn synth_opts(bound: usize) -> SynthOptions {
         let mut o = SynthOptions::new(bound);
         o.enumeration.allow_fences = false;
         o.enumeration.allow_rmw = false;
         o
-    }
-
-    fn run_cold(m: &Mtm, bound: usize, jobs: usize) -> (Vec<SuiteRecord>, SuiteStats) {
-        let opts = synth_opts(bound);
-        let sink = RecordSink::new();
-        let (mut stats, _) = Run::new(m, &["sc_per_loc"], &opts, jobs).stream(&[&sink]);
-        (sink.take(), stats.remove(0))
-    }
-
-    /// The fleet invariant at the pipeline level: partition ranges that
-    /// tile the space produce shard results whose concatenation is
-    /// exactly the single-machine run — same records at the same global
-    /// plan indices, semantic counters summing to the full totals — at
-    /// several worker counts and split points.
-    #[test]
-    fn range_runs_tile_into_the_full_suite() {
-        let m = mtm();
-        let opts = synth_opts(4);
-        for jobs in [1usize, 2, 3] {
-            let space = crate::space_for(&opts, jobs);
-            let n = space.partition_count();
-            let (full_records, full_stats) = run_cold(&m, 4, jobs);
-            for split in [1, n / 3, n / 2, n - 1] {
-                let split = split.clamp(1, n - 1);
-                let mut records = Vec::new();
-                let mut executions = 0usize;
-                let mut forbidden = 0usize;
-                let mut minimal = 0usize;
-                for range in [(0, split), (split, n)] {
-                    let sink = RecordSink::new();
-                    let (mut stats, _) = Run {
-                        range: Some((jobs, range.0, range.1)),
-                        ..Run::new(&m, &["sc_per_loc"], &opts, 2)
-                    }
-                    .stream(&[&sink]);
-                    let stats = stats.remove(0);
-                    assert!(!stats.timed_out, "jobs {jobs} split {split}");
-                    executions += stats.executions;
-                    forbidden += stats.forbidden;
-                    minimal += stats.minimal;
-                    records.extend(sink.take());
-                }
-                records.sort_by_key(|r| r.index);
-                assert_eq!(
-                    records.len(),
-                    full_records.len(),
-                    "jobs {jobs} split {split}"
-                );
-                for (r, f) in records.iter().zip(&full_records) {
-                    assert_eq!(r.index, f.index, "jobs {jobs} split {split}");
-                    assert_eq!(r.elt.program, f.elt.program, "jobs {jobs} split {split}");
-                    assert_eq!(r.elt.violated, f.elt.violated, "jobs {jobs} split {split}");
-                }
-                assert_eq!(
-                    executions, full_stats.executions,
-                    "jobs {jobs} split {split}"
-                );
-                assert_eq!(forbidden, full_stats.forbidden, "jobs {jobs} split {split}");
-                assert_eq!(minimal, full_stats.minimal, "jobs {jobs} split {split}");
-            }
-        }
     }
 
     /// A deadline-cut run keeps its partition-granular journal
@@ -1351,7 +1227,7 @@ mod tests {
             let mut opts = synth_opts(4);
             opts.timeout = Some(Duration::from_millis(1));
             let progress = Arc::new(ProgressState::with_journal(&["sc_per_loc"]));
-            let sink = RecordSink::new();
+            let sink = crate::CollectSink::new();
             let (stats, metrics) = Run {
                 progress: Some(&progress),
                 ..Run::new(&m, &["sc_per_loc"], &opts, jobs)

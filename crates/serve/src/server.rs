@@ -20,7 +20,6 @@
 //! and both rename to identical content — idempotence falls out of
 //! content addressing.
 
-use crate::fleet::{FleetState, StagedOutcome};
 use crate::http::{read_request, respond, respond_text, write_head, Request, RequestError};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -28,13 +27,12 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use transform_store::fleet::{JobSpec, StageOutcome};
-use transform_store::{suite_fingerprint, Fingerprint, Store, StoreError};
+use transform_store::{Fingerprint, Store, StoreError};
 
 /// The route classes `/v1/metrics` breaks request and latency counters
 /// down by, in rendering order. `other` absorbs unknown paths and
 /// disallowed methods.
-pub const ROUTE_NAMES: [&str; 13] = [
+pub const ROUTE_NAMES: [&str; 9] = [
     "healthz",
     "metrics",
     "index",
@@ -43,10 +41,6 @@ pub const ROUTE_NAMES: [&str; 13] = [
     "runs_list",
     "run_get",
     "run_put",
-    "jobs",
-    "lease",
-    "heartbeat",
-    "shard_put",
     "other",
 ];
 
@@ -61,12 +55,7 @@ fn route_slot(method: &str, path: &str) -> usize {
         ("GET" | "HEAD", "/v1/runs") => 5,
         ("GET" | "HEAD", p) if p.starts_with("/v1/runs/") => 6,
         ("PUT", p) if p.starts_with("/v1/runs/") => 7,
-        ("POST", "/v1/jobs") => 8,
-        ("GET" | "HEAD" | "POST", p) if p.starts_with("/v1/jobs/") => 8,
-        ("POST", "/v1/lease") => 9,
-        ("POST", p) if p.starts_with("/v1/lease/") && p.ends_with("/heartbeat") => 10,
-        ("PUT", p) if p.starts_with("/v1/shard/") => 11,
-        _ => 12,
+        _ => 8,
     }
 }
 
@@ -118,24 +107,10 @@ pub struct ServeMetrics {
     pub bytes_received: AtomicU64,
     /// Connections currently being handled (parse through response).
     pub in_flight: AtomicU64,
-    /// Fleet jobs registered (`POST /v1/jobs` with an unseen spec).
-    pub jobs_created: AtomicU64,
-    /// Fleet jobs whose suites merged and sealed.
-    pub jobs_completed: AtomicU64,
-    /// Partition-range leases handed out.
-    pub leases_granted: AtomicU64,
-    /// Leases reclaimed after missing their heartbeat.
-    pub leases_expired: AtomicU64,
-    /// Lease heartbeats received (renewed or refused).
-    pub heartbeats: AtomicU64,
-    /// Shard uploads staged as new results.
-    pub shards_accepted: AtomicU64,
-    /// Shard uploads that duplicated an already-staged result.
-    pub shards_duplicate: AtomicU64,
     /// Per-route request and latency counters, indexed like
     /// [`ROUTE_NAMES`]. Parse failures never reach a route, so the
     /// route totals can lag `requests` by the malformed share.
-    pub routes: [RouteMetrics; 13],
+    pub routes: [RouteMetrics; 9],
 }
 
 impl ServeMetrics {
@@ -196,41 +171,6 @@ impl ServeMetrics {
             "transform_serve_bytes_received_total",
             "Payload bytes received in PUT bodies, accepted or refused.",
             self.bytes_received.load(Ordering::Relaxed),
-        ));
-        out.push_str(&counter(
-            "transform_serve_jobs_created_total",
-            "Fleet jobs registered.",
-            self.jobs_created.load(Ordering::Relaxed),
-        ));
-        out.push_str(&counter(
-            "transform_serve_jobs_completed_total",
-            "Fleet jobs merged and sealed.",
-            self.jobs_completed.load(Ordering::Relaxed),
-        ));
-        out.push_str(&counter(
-            "transform_serve_leases_granted_total",
-            "Partition-range leases handed out.",
-            self.leases_granted.load(Ordering::Relaxed),
-        ));
-        out.push_str(&counter(
-            "transform_serve_leases_expired_total",
-            "Leases reclaimed after missing their heartbeat.",
-            self.leases_expired.load(Ordering::Relaxed),
-        ));
-        out.push_str(&counter(
-            "transform_serve_heartbeats_total",
-            "Lease heartbeats received.",
-            self.heartbeats.load(Ordering::Relaxed),
-        ));
-        out.push_str(&counter(
-            "transform_serve_shards_accepted_total",
-            "Shard uploads staged as new results.",
-            self.shards_accepted.load(Ordering::Relaxed),
-        ));
-        out.push_str(&counter(
-            "transform_serve_shards_duplicate_total",
-            "Shard uploads duplicating an already-staged result.",
-            self.shards_duplicate.load(Ordering::Relaxed),
         ));
         out.push_str(&gauge(
             "transform_serve_entries",
@@ -329,7 +269,6 @@ pub struct Server {
     addr: SocketAddr,
     opts: ServeOptions,
     metrics: Arc<ServeMetrics>,
-    fleet: Arc<FleetState>,
     stop: Arc<AtomicBool>,
 }
 
@@ -350,7 +289,6 @@ impl Server {
             addr,
             opts,
             metrics: Arc::new(ServeMetrics::default()),
-            fleet: Arc::new(FleetState::new()),
             stop: Arc::new(AtomicBool::new(false)),
         })
     }
@@ -379,11 +317,10 @@ impl Server {
             let queue = Arc::clone(&queue);
             let store = Arc::clone(&self.store);
             let metrics = Arc::clone(&self.metrics);
-            let fleet = Arc::clone(&self.fleet);
             let verbose = self.opts.verbose;
             workers.push(std::thread::spawn(move || {
                 while let Some(stream) = queue.pop() {
-                    handle_connection(&store, &metrics, &fleet, stream, verbose);
+                    handle_connection(&store, &metrics, stream, verbose);
                 }
             }));
         }
@@ -523,15 +460,9 @@ impl ConnQueue {
 /// Serves one connection: parse, route, respond, close. All failures
 /// are contained here — a bad request gets an error status, a dead
 /// socket is dropped.
-fn handle_connection(
-    store: &Store,
-    metrics: &ServeMetrics,
-    fleet: &FleetState,
-    mut stream: TcpStream,
-    verbose: bool,
-) {
+fn handle_connection(store: &Store, metrics: &ServeMetrics, mut stream: TcpStream, verbose: bool) {
     metrics.in_flight.fetch_add(1, Ordering::Relaxed);
-    serve_connection(store, metrics, fleet, &mut stream, verbose);
+    serve_connection(store, metrics, &mut stream, verbose);
     metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
     // `stream` closes only now: a client that read its response to EOF
     // never finds its own connection still counted in flight.
@@ -539,13 +470,7 @@ fn handle_connection(
 
 /// The body of [`handle_connection`], split out so the in-flight gauge
 /// brackets every exit path (parse failures return early).
-fn serve_connection(
-    store: &Store,
-    metrics: &ServeMetrics,
-    fleet: &FleetState,
-    stream: &mut TcpStream,
-    verbose: bool,
-) {
+fn serve_connection(store: &Store, metrics: &ServeMetrics, stream: &mut TcpStream, verbose: bool) {
     // A stuck peer must not pin a worker forever.
     let _ = stream.set_read_timeout(Some(std::time::Duration::from_secs(30)));
     let _ = stream.set_write_timeout(Some(std::time::Duration::from_secs(30)));
@@ -567,7 +492,7 @@ fn serve_connection(
         }
     };
     let begun = std::time::Instant::now();
-    let status = route(store, metrics, fleet, stream, &request).unwrap_or(0);
+    let status = route(store, metrics, stream, &request).unwrap_or(0);
     metrics.observe_route(&request.method, &request.path, begun.elapsed());
     if verbose {
         eprintln!(
@@ -582,7 +507,6 @@ fn serve_connection(
 fn route(
     store: &Store,
     metrics: &ServeMetrics,
-    fleet: &FleetState,
     stream: &mut TcpStream,
     request: &Request,
 ) -> io::Result<u16> {
@@ -803,167 +727,9 @@ fn route(
                 }
             }
         }
-        ("POST", "/v1/jobs") => {
-            metrics
-                .bytes_received
-                .fetch_add(request.body.len() as u64, Ordering::Relaxed);
-            let spec = match JobSpec::decode(&request.body) {
-                Ok(spec) => spec,
-                Err(e) => {
-                    respond_text(stream, 400, &format!("{e}\n"))?;
-                    return Ok(400);
-                }
-            };
-            if let Err(e) = validate_job_spec(&spec) {
-                respond_text(stream, 400, &format!("{e}\n"))?;
-                return Ok(400);
-            }
-            let (job, new) = fleet.create_job(spec);
-            if new {
-                metrics.jobs_created.fetch_add(1, Ordering::Relaxed);
-            }
-            let status = if new { 201 } else { 200 };
-            respond_text(stream, status, &format!("{job:016x}\n"))?;
-            Ok(status)
-        }
-        (method @ ("GET" | "HEAD"), path) if path.starts_with("/v1/jobs/") => {
-            let Some(job) = parse_job_path(path) else {
-                respond_text(stream, 400, "malformed job id\n")?;
-                return Ok(400);
-            };
-            match fleet.status(job) {
-                Some(status) => {
-                    let body = status.to_json(job);
-                    if method == "HEAD" {
-                        write_head(stream, 200, body.len() as u64, "application/json")?;
-                    } else {
-                        respond(stream, 200, body.as_bytes(), "application/json")?;
-                    }
-                    Ok(200)
-                }
-                None => {
-                    respond_text(stream, 404, "no such job\n")?;
-                    Ok(404)
-                }
-            }
-        }
-        ("POST", path) if path.starts_with("/v1/jobs/") && path.ends_with("/cut") => {
-            let Some(job) = path.strip_suffix("/cut").and_then(parse_job_path) else {
-                respond_text(stream, 400, "malformed job id\n")?;
-                return Ok(400);
-            };
-            if fleet.cut(job) {
-                respond_text(stream, 200, "cut\n")?;
-                Ok(200)
-            } else {
-                respond_text(stream, 404, "no such job\n")?;
-                Ok(404)
-            }
-        }
-        ("POST", "/v1/lease") => {
-            let (grant, expired) = fleet.lease();
-            if expired > 0 {
-                metrics.leases_expired.fetch_add(expired, Ordering::Relaxed);
-            }
-            match grant {
-                Some(grant) => {
-                    metrics.leases_granted.fetch_add(1, Ordering::Relaxed);
-                    let bytes = grant.encode();
-                    respond(stream, 200, &bytes, "application/octet-stream")?;
-                    metrics
-                        .bytes_served
-                        .fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                    Ok(200)
-                }
-                None => {
-                    // 204: the fleet is healthy but has nothing pending
-                    // — workers back off and poll again.
-                    respond(stream, 204, b"", "text/plain; charset=utf-8")?;
-                    Ok(204)
-                }
-            }
-        }
-        ("POST", path) if path.starts_with("/v1/lease/") && path.ends_with("/heartbeat") => {
-            metrics.heartbeats.fetch_add(1, Ordering::Relaxed);
-            let Some(lease) = parse_heartbeat_path(path) else {
-                respond_text(stream, 400, "malformed lease id\n")?;
-                return Ok(400);
-            };
-            if fleet.heartbeat(lease) {
-                respond_text(stream, 200, "renewed\n")?;
-                Ok(200)
-            } else {
-                // 410: the lease lapsed (or never existed) — the range
-                // may already be re-leased; the worker should drop it.
-                respond_text(stream, 410, "lease not honored\n")?;
-                Ok(410)
-            }
-        }
-        ("PUT", path) if path.starts_with("/v1/shard/") => {
-            metrics
-                .bytes_received
-                .fetch_add(request.body.len() as u64, Ordering::Relaxed);
-            let Some((job, lo, hi)) = parse_shard_path(path) else {
-                respond_text(stream, 400, "malformed shard path\n")?;
-                return Ok(400);
-            };
-            match store.stage_shard(job, lo, hi, &request.body) {
-                Ok(outcome @ (StageOutcome::New | StageOutcome::Duplicate)) => {
-                    if outcome == StageOutcome::New {
-                        metrics.shards_accepted.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        metrics.shards_duplicate.fetch_add(1, Ordering::Relaxed);
-                    }
-                    // Record with the coordinator; the last range in
-                    // merges and seals before this response goes out.
-                    match fleet.shard_staged(store, job, lo, hi) {
-                        StagedOutcome::Sealed => {
-                            metrics.jobs_completed.fetch_add(1, Ordering::Relaxed);
-                        }
-                        StagedOutcome::UnknownJob => {
-                            // Staged bytes for a job this coordinator
-                            // never saw (e.g. it restarted): conflict,
-                            // not success — the upload cannot complete
-                            // a job.
-                            respond_text(stream, 404, "no such job\n")?;
-                            return Ok(404);
-                        }
-                        StagedOutcome::Recorded
-                        | StagedOutcome::SealFailed
-                        | StagedOutcome::UnknownRange => {}
-                    }
-                    let status = if outcome == StageOutcome::New {
-                        201
-                    } else {
-                        200
-                    };
-                    respond_text(stream, status, "staged\n")?;
-                    Ok(status)
-                }
-                Ok(StageOutcome::Mismatch) => {
-                    respond_text(
-                        stream,
-                        409,
-                        "shard conflicts with its address or an already-staged upload\n",
-                    )?;
-                    Ok(409)
-                }
-                Err(e @ (StoreError::Corrupt(_) | StoreError::Version { .. })) => {
-                    respond_text(stream, 400, &format!("{e}\n"))?;
-                    Ok(400)
-                }
-                Err(e) => {
-                    respond_text(stream, 500, &format!("{e}\n"))?;
-                    Ok(500)
-                }
-            }
-        }
         (_, path)
             if path.starts_with("/v1/suite/")
                 || path.starts_with("/v1/runs")
-                || path.starts_with("/v1/jobs")
-                || path.starts_with("/v1/lease")
-                || path.starts_with("/v1/shard/")
                 || path == "/v1/index"
                 || path == "/v1/metrics"
                 || path == "/healthz" =>
@@ -990,69 +756,4 @@ fn parse_run_path(path: &str) -> Option<u64> {
         return None;
     }
     u64::from_str_radix(hex, 16).ok()
-}
-
-/// `/v1/jobs/<16 hex chars>` → the job id.
-fn parse_job_path(path: &str) -> Option<u64> {
-    parse_hex16(path.strip_prefix("/v1/jobs/")?)
-}
-
-/// `/v1/lease/<16 hex chars>/heartbeat` → the lease id.
-fn parse_heartbeat_path(path: &str) -> Option<u64> {
-    parse_hex16(
-        path.strip_prefix("/v1/lease/")?
-            .strip_suffix("/heartbeat")?,
-    )
-}
-
-/// `/v1/shard/<16 hex chars>/<lo>-<hi>` → the shard address.
-fn parse_shard_path(path: &str) -> Option<(u64, u32, u32)> {
-    let rest = path.strip_prefix("/v1/shard/")?;
-    let (job_hex, range) = rest.split_once('/')?;
-    let job = parse_hex16(job_hex)?;
-    let (lo, hi) = range.split_once('-')?;
-    Some((job, lo.parse().ok()?, hi.parse().ok()?))
-}
-
-/// A 16-hex-digit id (jobs, leases — same shape as run ids).
-fn parse_hex16(hex: &str) -> Option<u64> {
-    if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok()
-}
-
-/// Server-side vetting of a posted job spec, beyond its own codec
-/// checks: the model must parse, its name and suite fingerprints must
-/// match what the spec claims, and the ranges must tile the partition
-/// plan. Catching drift here turns a would-be merge failure (or worse,
-/// suites sealed under wrong fingerprints) into a `400` at submission.
-fn validate_job_spec(spec: &JobSpec) -> Result<(), String> {
-    spec.validate().map_err(|e| e.to_string())?;
-    let mtm = transform_core::spec::parse_mtm(&spec.model)
-        .map_err(|e| format!("job spec model does not parse: {e}"))?;
-    if mtm.name() != spec.mtm_name {
-        return Err(format!(
-            "job spec names MTM `{}` but its model parses as `{}`",
-            spec.mtm_name,
-            mtm.name()
-        ));
-    }
-    let opts = spec.synth_options().map_err(|e| e.to_string())?;
-    for (axiom, fp) in &spec.axioms {
-        let expected = suite_fingerprint(&mtm, axiom, &opts);
-        if expected != *fp {
-            return Err(format!(
-                "job spec fingerprint for axiom `{axiom}` does not match its parameters"
-            ));
-        }
-    }
-    let partitions = transform_par::space_for(&opts, spec.plan_jobs as usize).partition_count();
-    let covered = spec.ranges.last().map(|&(_, hi)| hi as usize).unwrap_or(0);
-    if covered != partitions {
-        return Err(format!(
-            "job spec ranges cover {covered} partitions but the plan has {partitions}"
-        ));
-    }
-    Ok(())
 }

@@ -466,10 +466,16 @@ fn http_get_raw(addr: std::net::SocketAddr, path: &str) -> (String, String) {
 
 /// One raw HTTP/1.1 PUT, returning the status code.
 fn http_put(addr: std::net::SocketAddr, path: &str, body: &[u8]) -> u16 {
+    http_send(addr, "PUT", path, body)
+}
+
+/// One raw HTTP/1.1 request with a body, returning the status code of
+/// a complete response (a dropped connection fails the parse).
+fn http_send(addr: std::net::SocketAddr, method: &str, path: &str, body: &[u8]) -> u16 {
     let mut stream = std::net::TcpStream::connect(addr).expect("connects");
     write!(
         stream,
-        "PUT {path} HTTP/1.1\r\nHost: loopback\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
+        "{method} {path} HTTP/1.1\r\nHost: loopback\r\nConnection: close\r\nContent-Length: {}\r\n\r\n",
         body.len()
     )
     .expect("writes head");
@@ -483,8 +489,8 @@ fn http_put(addr: std::net::SocketAddr, path: &str, body: &[u8]) -> u16 {
         .expect("status parses")
 }
 
-/// The run-journal fleet path end to end: a client publishes a journal
-/// (`PUT /v1/runs/<id>`), the fleet list serves its manifest
+/// The run-journal path end to end: a client publishes a journal
+/// (`PUT /v1/runs/<id>`), the run list serves its manifest
 /// (`GET /v1/runs`), the full journal round-trips byte-identically
 /// (`GET /v1/runs/<id>`), and damaged uploads are refused.
 #[test]
@@ -543,7 +549,7 @@ fn run_journals_publish_list_and_fetch_over_loopback() {
         .publish_run(journal.manifest.id, &bytes)
         .expect("publishes");
 
-    // The fleet list now carries the manifest, and the journal fetches
+    // The run list now carries the manifest, and the journal fetches
     // back byte-identically.
     let listed = client.runs().expect("list decodes");
     assert_eq!(listed.len(), 1);
@@ -566,6 +572,12 @@ fn run_journals_publish_list_and_fetch_over_loopback() {
     corrupt[mid] ^= 0x40;
     assert_eq!(http_put(addr, &path, &corrupt), 400);
     assert_eq!(http_put(addr, "/v1/runs/not-hex", &bytes), 400);
+    // Clients of the retired fleet routes get a plain 404.
+    assert_eq!(http_send(addr, "POST", "/v1/lease", b"w0"), 404);
+    assert_eq!(
+        http_put(addr, "/v1/shard/0000000000000000/0-1", &bytes),
+        404
+    );
     // The list still serves only the intact journal.
     assert_eq!(client.runs().expect("list decodes").len(), 1);
     // And unsupported methods on runs paths answer 405, not 404.

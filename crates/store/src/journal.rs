@@ -6,7 +6,7 @@
 //! * a **run manifest** — the run's key (MTM, bound, options, jobs),
 //!   its outcome ([`RunOutcome`]), and the final counters of its
 //!   [`transform_par::ProgressSnapshot`] — enough for `transform runs
-//!   list` and the serve fleet view without touching event data; and
+//!   list` and `transform top` without touching event data; and
 //! * the **event journal** — every timestamped
 //!   [`transform_par::JournalEvent`] the fused pipeline emitted
 //!   (partition enumerate/retire, batch examine, frontier stalls,
@@ -130,7 +130,7 @@ pub struct RunAxiom {
 }
 
 /// The summary record of one journaled synthesis run — everything
-/// `transform runs list` and the serve fleet view need without
+/// `transform runs list` and `transform top` need without
 /// decoding event data.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RunManifest {

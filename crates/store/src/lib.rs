@@ -24,7 +24,7 @@
 //! * [`journal`] — synthesis runs as durable artifacts: a checksummed
 //!   binary journal per run (manifest + timestamped pipeline events)
 //!   written alongside the sealed suites, the substrate for
-//!   `transform runs` and the serve fleet view.
+//!   `transform runs` and the `transform top` live view.
 //! * [`index`] — the advisory entry index (fingerprint → key metadata),
 //!   rewritten atomically on every seal, so `query`/`export` filter
 //!   entries without opening each header; a missing or stale index
@@ -38,11 +38,7 @@
 //!   files.
 //! * [`remote`] — the dependency-free HTTP/1.1 client for a
 //!   `transform serve` endpoint ([`HttpTier`]), the remote half of a
-//!   fleet-wide shared cache.
-//! * [`fleet`] — the distributed-synthesis wire format: job specs,
-//!   lease grants, checksummed shard results, idempotent shard
-//!   staging, and the coordinator's deterministic merge-to-seal
-//!   ([`merge_fleet_job`]).
+//!   shared cache.
 //!
 //! # Examples
 //!
@@ -77,7 +73,6 @@
 
 pub mod codec;
 pub mod fingerprint;
-pub mod fleet;
 pub mod index;
 pub mod journal;
 pub mod remote;
@@ -86,10 +81,6 @@ pub mod tier;
 
 pub use codec::{CodecError, FORMAT_VERSION};
 pub use fingerprint::{suite_fingerprint, Fingerprint};
-pub use fleet::{
-    balanced_ranges, execute_lease, merge_fleet_job, AxiomShard, JobSpec, LeaseGrant, ShardResult,
-    StageOutcome,
-};
 pub use index::{IndexEntry, INDEX_FILE};
 pub use journal::{
     decode_run, decode_run_list, encode_run, encode_run_list, fresh_run_id, RunAxiom, RunJournal,

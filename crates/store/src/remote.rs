@@ -12,12 +12,6 @@
 //! | `GET /v1/runs` | recent run manifests ([`crate::journal::encode_run_list`] bytes) |
 //! | `GET /v1/runs/<id>` | one run's full journal ([`crate::journal::encode_run`] bytes) |
 //! | `PUT /v1/runs/<id>` | upload a run journal (rewritable — heartbeats) |
-//! | `POST /v1/jobs` | create a fleet job ([`crate::fleet::JobSpec`] bytes, idempotent) |
-//! | `GET /v1/jobs/<id>` | fleet job progress (JSON) |
-//! | `POST /v1/jobs/<id>/cut` | abandon a fleet job |
-//! | `POST /v1/lease` | lease a partition range ([`crate::fleet::LeaseGrant`] bytes, 204 = no work) |
-//! | `POST /v1/lease/<id>/heartbeat` | renew a lease |
-//! | `PUT /v1/shard/<job>/<lo>-<hi>` | upload a shard result (idempotent) |
 //!
 //! Every payload is already self-validating (the sealed suite format and
 //! the index encoding both carry checksums), so the transport adds no
@@ -278,7 +272,7 @@ impl HttpTier {
     }
 
     /// `GET /v1/runs`: the remote's recent run manifests,
-    /// checksum-valid — what `transform top` merges into its fleet view
+    /// checksum-valid — what `transform top` merges into its live view
     /// and `transform runs list --url` renders.
     ///
     /// # Errors
@@ -338,209 +332,6 @@ impl HttpTier {
                 String::from_utf8_lossy(&body).trim()
             ))),
         }
-    }
-
-    /// `POST /v1/jobs`: registers a fleet job from its encoded
-    /// [`crate::fleet::JobSpec`]. Idempotent — the job id is the hash
-    /// of the spec, so re-posting the same work re-joins the existing
-    /// job. Returns the job id the coordinator derived.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Remote`] when the server is unreachable or rejects
-    /// the spec.
-    pub fn create_job(&self, spec_bytes: &[u8]) -> Result<u64, StoreError> {
-        let (status, body) = self.exchange("POST", "/v1/jobs", Some(spec_bytes))?;
-        match status {
-            200 | 201 => {
-                let text = String::from_utf8_lossy(&body);
-                u64::from_str_radix(text.trim(), 16).map_err(|_| {
-                    StoreError::Remote(format!(
-                        "POST {}/v1/jobs answered with a malformed job id `{}`",
-                        self.url(),
-                        text.trim()
-                    ))
-                })
-            }
-            other => Err(StoreError::Remote(format!(
-                "POST {}/v1/jobs returned status {other}: {}",
-                self.url(),
-                String::from_utf8_lossy(&body).trim()
-            ))),
-        }
-    }
-
-    /// `GET /v1/jobs/<id>`: the job's progress counters, or `None`
-    /// for an unknown job.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Remote`] on transport trouble or a malformed
-    /// status document.
-    pub fn job_status(&self, job: u64) -> Result<Option<JobStatus>, StoreError> {
-        let path = format!("/v1/jobs/{job:016x}");
-        let (status, body) = self.exchange("GET", &path, None)?;
-        match status {
-            200 => {
-                let text = String::from_utf8_lossy(&body);
-                JobStatus::parse(&text).map(Some).ok_or_else(|| {
-                    StoreError::Remote(format!(
-                        "GET {}{path} answered with a malformed status document",
-                        self.url()
-                    ))
-                })
-            }
-            404 => Ok(None),
-            other => Err(StoreError::Remote(format!(
-                "GET {}{path} returned status {other}",
-                self.url()
-            ))),
-        }
-    }
-
-    /// `POST /v1/jobs/<id>/cut`: abandons a fleet job — its unleased
-    /// and expired ranges stop being handed out, and it will never
-    /// seal. Safe on an already-cut or unknown job.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Remote`] when the server is unreachable.
-    pub fn cut_job(&self, job: u64) -> Result<(), StoreError> {
-        let path = format!("/v1/jobs/{job:016x}/cut");
-        // An explicit empty body: the server requires Content-Length on
-        // every POST, and `None` would omit the header entirely.
-        let (status, body) = self.exchange("POST", &path, Some(b""))?;
-        match status {
-            200 | 404 => Ok(()),
-            other => Err(StoreError::Remote(format!(
-                "POST {}{path} returned status {other}: {}",
-                self.url(),
-                String::from_utf8_lossy(&body).trim()
-            ))),
-        }
-    }
-
-    /// `POST /v1/lease`: asks the coordinator for work. `Some(grant)`
-    /// carries a leased range plus the full job spec; `None` means no
-    /// work is available right now (poll again later). `worker` is a
-    /// display name for the coordinator's bookkeeping.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Remote`] on transport trouble;
-    /// [`StoreError::Corrupt`] when the grant bytes fail validation.
-    pub fn lease(&self, worker: &str) -> Result<Option<crate::fleet::LeaseGrant>, StoreError> {
-        let (status, body) = self.exchange("POST", "/v1/lease", Some(worker.as_bytes()))?;
-        match status {
-            200 => crate::fleet::LeaseGrant::decode(&body)
-                .map(Some)
-                .map_err(|e| StoreError::Corrupt(format!("lease grant: {e}"))),
-            204 => Ok(None),
-            other => Err(StoreError::Remote(format!(
-                "POST {}/v1/lease returned status {other}",
-                self.url()
-            ))),
-        }
-    }
-
-    /// `POST /v1/lease/<id>/heartbeat`: renews a lease. `false` means
-    /// the coordinator no longer honors it (expired and reassigned, or
-    /// the job was cut) — the worker should abandon the range.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Remote`] when the server is unreachable.
-    pub fn heartbeat(&self, lease: u64) -> Result<bool, StoreError> {
-        let path = format!("/v1/lease/{lease:016x}/heartbeat");
-        // Explicit empty body — POST without Content-Length is a 411.
-        let (status, _) = self.exchange("POST", &path, Some(b""))?;
-        match status {
-            200 => Ok(true),
-            404 | 410 => Ok(false),
-            other => Err(StoreError::Remote(format!(
-                "POST {}{path} returned status {other}",
-                self.url()
-            ))),
-        }
-    }
-
-    /// `PUT /v1/shard/<job>/<lo>-<hi>`: uploads one encoded
-    /// [`crate::fleet::ShardResult`]. Idempotent — a retried upload of
-    /// the identical bytes is accepted as a duplicate; a conflicting
-    /// upload is rejected with [`crate::fleet::StageOutcome::Mismatch`].
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Remote`] when the server is unreachable or rejects
-    /// the bytes outright (damage, unknown job).
-    pub fn put_shard(
-        &self,
-        job: u64,
-        lo: u32,
-        hi: u32,
-        bytes: &[u8],
-    ) -> Result<crate::fleet::StageOutcome, StoreError> {
-        let path = format!("/v1/shard/{job:016x}/{lo}-{hi}");
-        let (status, body) = self.exchange("PUT", &path, Some(bytes))?;
-        match status {
-            201 => Ok(crate::fleet::StageOutcome::New),
-            200 => Ok(crate::fleet::StageOutcome::Duplicate),
-            409 => Ok(crate::fleet::StageOutcome::Mismatch),
-            other => Err(StoreError::Remote(format!(
-                "PUT {}{path} returned status {other}: {}",
-                self.url(),
-                String::from_utf8_lossy(&body).trim()
-            ))),
-        }
-    }
-}
-
-/// One fleet job's progress as reported by `GET /v1/jobs/<id>`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct JobStatus {
-    /// Ranges in the job's plan.
-    pub ranges: usize,
-    /// Ranges with a staged shard result.
-    pub staged: usize,
-    /// Ranges currently out on a live lease.
-    pub leased: usize,
-    /// Whether every range is staged and the suites are sealed.
-    pub complete: bool,
-    /// Whether the job was cut (abandoned; will never seal).
-    pub cut: bool,
-}
-
-impl JobStatus {
-    /// Extracts the status from the coordinator's JSON document. The
-    /// fields are flat `"name":value` pairs, so a scan is enough — no
-    /// JSON parser needed on this dependency-free path.
-    pub fn parse(text: &str) -> Option<JobStatus> {
-        fn field_usize(text: &str, name: &str) -> Option<usize> {
-            let at = text.find(&format!("\"{name}\":"))? + name.len() + 3;
-            let rest = &text[at..];
-            let end = rest
-                .find(|c: char| !c.is_ascii_digit())
-                .unwrap_or(rest.len());
-            rest[..end].parse().ok()
-        }
-        fn field_bool(text: &str, name: &str) -> Option<bool> {
-            let at = text.find(&format!("\"{name}\":"))? + name.len() + 3;
-            let rest = &text[at..];
-            if rest.starts_with("true") {
-                Some(true)
-            } else if rest.starts_with("false") {
-                Some(false)
-            } else {
-                None
-            }
-        }
-        Some(JobStatus {
-            ranges: field_usize(text, "ranges")?,
-            staged: field_usize(text, "staged")?,
-            leased: field_usize(text, "leased")?,
-            complete: field_bool(text, "complete")?,
-            cut: field_bool(text, "cut")?,
-        })
     }
 }
 

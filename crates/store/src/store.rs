@@ -52,6 +52,10 @@ const SUITE_EXT: &str = "tfs";
 /// (`<fingerprint>.tfd`) older stores may still hold; nothing reads
 /// them, and `store gc` deletes them ([`Store::retired_files`]).
 const RETIRED_DIGEST_EXT: &str = "tfd";
+/// The staging tree (`fleet/<job>/shard-*.bin`) of the retired
+/// distributed-synthesis coordinator; nothing reads it, and `store gc`
+/// deletes it ([`Store::retired_files`]).
+const RETIRED_FLEET_DIR: &str = "fleet";
 
 /// A store failure.
 #[derive(Debug)]
@@ -403,7 +407,9 @@ impl Store {
 
     /// Files of retired formats the store no longer reads: the
     /// `<fingerprint>.tfd` admission digests older builds wrote beside
-    /// their entries. `store gc` deletes them.
+    /// their entries, and the `fleet/` shard-staging directory of a
+    /// store that once coordinated distributed synthesis. `store gc`
+    /// deletes them.
     ///
     /// # Errors
     ///
@@ -412,7 +418,10 @@ impl Store {
         let mut out = Vec::new();
         for entry in fs::read_dir(&self.root)? {
             let path = entry?.path();
-            if path.extension().and_then(|e| e.to_str()) == Some(RETIRED_DIGEST_EXT) {
+            let is_digest = path.extension().and_then(|e| e.to_str()) == Some(RETIRED_DIGEST_EXT);
+            let is_fleet_dir = path.file_name().and_then(|n| n.to_str()) == Some(RETIRED_FLEET_DIR)
+                && path.is_dir();
+            if is_digest || is_fleet_dir {
                 out.push(path);
             }
         }

@@ -16,7 +16,7 @@
 //! 3. **Synthesis** — every axiom missing everywhere joins one fused
 //!    streamed run; each suite is sealed locally the moment its axiom
 //!    finishes, and the sealed bytes are *pushed* to the remote tier
-//!    (best-effort), turning this run's work into a fleet-wide asset.
+//!    (best-effort), turning this run's work into a shared asset.
 //!    Sealing and pushing are gated on
 //!    [`transform_par::SuiteSink::run_done`] reporting a completed
 //!    (un-timed-out) axiom — partial suites are never sealed, hence
@@ -229,13 +229,11 @@ impl TieredCache {
     ///
     /// # Panics
     ///
-    /// Panics when any axiom is not part of `run.mtm` or `run.range` is
-    /// set (a cache serves whole suites, never fleet ranges).
+    /// Panics when any axiom is not part of `run.mtm`.
     pub fn serve(
         &self,
         run: &Run<'_>,
     ) -> Result<BTreeMap<String, (Suite, CacheStatus)>, StoreError> {
-        assert!(run.range.is_none(), "cached runs cover the whole space");
         let (local, remote) = (&self.local, self.remote.as_deref());
         let Run {
             mtm,
@@ -487,7 +485,7 @@ fn record_seal(progress: Option<&Arc<ProgressState>>, axiom: &str, local: &Store
 
 /// Publishes a freshly sealed entry to the remote tier and journals a
 /// [`JournalEventKind::Push`] for `axiom` when it lands. Best-effort: a
-/// failed push costs the fleet a shared entry, never this run its
+/// failed push costs other machines a shared entry, never this run its
 /// result.
 fn push_sealed(
     local: &Store,
