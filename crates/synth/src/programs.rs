@@ -9,7 +9,9 @@
 //! * an access after an `INVLPG` of its VA must walk (Fig. 5b);
 //! * other accesses may hit or miss freely (capacity evictions, §III-B2);
 //! * every user write carries a dirty-bit update (§III-A2);
-//! * every PTE write invokes exactly one `INVLPG` per core (§III-B2);
+//! * every PTE write invokes exactly one `INVLPG` per core (§III-B2), and
+//!   an `INVLPG` serves at most one PTE write — so every core needs at
+//!   least as many `INVLPG`s as the program has PTE writes;
 //! * spurious `INVLPG`s appear only where they can affect the thread's
 //!   execution (a later same-VA access exists);
 //! * fences appear only between two instructions of their thread.
@@ -273,6 +275,16 @@ struct Shape {
     rmw: Vec<usize>,
 }
 
+impl Shape {
+    /// Number of `INVLPG`s in the shape.
+    fn num_invlpgs(&self) -> usize {
+        self.ops
+            .iter()
+            .filter(|op| matches!(op, SlotOp::Invlpg { .. }))
+            .count()
+    }
+}
+
 /// Enumerates all thread shapes of cost ≤ `budget`.
 fn shapes(budget: usize, opts: &EnumOptions) -> Vec<Shape> {
     let mut out = Vec::new();
@@ -501,9 +513,11 @@ impl<'a> EmitSink<'a> {
             if self.keep_keys {
                 self.seen.insert(k.clone());
             } else {
-                // The eager path discards per-program keys, so move the
-                // key into the dedup set instead of retaining a second
-                // copy per emitted program.
+                // Only `programs` / `programs_with_deadline` get here —
+                // the sequential engine's enumeration and the oracle the
+                // partitioned streams are checked against. They discard
+                // per-program keys, so move the key into the dedup set
+                // instead of retaining a second copy per emitted program.
                 key = {
                     self.seen.insert(key.expect("checked above"));
                     None
@@ -565,6 +579,11 @@ fn combine(
         }
     }
     if !chosen.is_empty() {
+        if !invlpgs_suffice(shapes, chosen) {
+            // Further threads add PTE writes but never `INVLPG`s to the
+            // shapes already chosen: the whole subtree is infeasible.
+            return;
+        }
         assign_and_emit(shapes, chosen, sink);
     }
     if threads_left == 0 {
@@ -588,10 +607,24 @@ fn combine(
     }
 }
 
-/// Exact node counts of the shape-combination recursion, memoized.
+/// Whether the chosen shapes can host a remap at all: each PTE write
+/// takes its own `INVLPG` on every core, so every chosen shape needs at
+/// least as many `INVLPG`s as the whole multiset has PTE writes (one PA
+/// symbol per PTE write).
+fn invlpgs_suffice(shapes: &[Shape], chosen: &[usize]) -> bool {
+    let wptes: usize = chosen.iter().map(|&i| shapes[i].num_pa_syms).sum();
+    wptes == 0 || chosen.iter().all(|&i| shapes[i].num_invlpgs() >= wptes)
+}
+
+/// Exact node counts of the *unpruned* shape-combination recursion,
+/// memoized.
 ///
-/// A *node* is one chosen shape multiset — one [`assign_and_emit`]
-/// call. `descendants(from, budget, threads)` counts the nodes of the
+/// A *node* is one chosen shape multiset. `combine` returns early from
+/// nodes that fail [`invlpgs_suffice`], skipping their subtrees, so the
+/// counts are an upper bound on the nodes it actually visits — which
+/// keeps them a pure function of the shape list (eltbench's
+/// `programs.nodes`, the `total_mass`, is unmoved by the prune).
+/// `descendants(from, budget, threads)` counts the nodes of the
 /// subtree that continues with shape indices `>= from` under the
 /// remaining budget and thread slots: the number of non-empty
 /// non-decreasing index sequences with total cost ≤ `budget` and
@@ -942,7 +975,7 @@ impl EnumSpace {
                 &deadline,
                 &mut sink,
             );
-        } else {
+        } else if invlpgs_suffice(&self.shapes, &chosen) {
             assign_and_emit(&self.shapes, &chosen, &mut sink);
         }
         sink.out
@@ -996,8 +1029,18 @@ impl Iterator for ProgramStream<'_> {
     }
 }
 
-/// Resolves local VA numbers and PA symbols to global meanings, assigns
-/// remaps, validates spurious INVLPGs, and emits canonical programs.
+/// Resolves local VA numbers and PA symbols to global meanings and emits
+/// canonical programs, deciding feasibility as early as its inputs
+/// allow:
+///
+/// 1. enumerate the VA maps (injective per thread, first-use numbered);
+/// 2. per VA map, match PTE writes to `INVLPG`s ([`remap_assignments`])
+///    and keep the remaps whose spurious `INVLPG`s are useful
+///    ([`spurious_invlpgs_useful`]). Both read only VAs and slot
+///    positions, never PAs, so a VA map with no surviving remap skips
+///    its whole PA cross-product;
+/// 3. per PA assignment of a surviving VA map, emit one program per
+///    surviving remap.
 fn assign_and_emit(shapes: &[Shape], chosen: &[usize], sink: &mut EmitSink<'_>) {
     let opts = sink.opts;
     let ts: Vec<&Shape> = chosen.iter().map(|&i| &shapes[i]).collect();
@@ -1039,24 +1082,47 @@ fn assign_and_emit(shapes: &[Shape], chosen: &[usize], sink: &mut EmitSink<'_>) 
         globals_so_far = next_globals;
     }
 
+    let rmw: Vec<(usize, usize)> = ts
+        .iter()
+        .enumerate()
+        .flat_map(|(t, s)| s.rmw.iter().map(move |&slot| (t, slot)))
+        .collect();
+    // One PA symbol per PTE write, consumed in (thread, slot) order.
+    let num_syms: usize = ts.iter().map(|s| s.num_pa_syms).sum();
+
     for (vmap, &num_vas) in va_maps.iter().zip(&globals_so_far) {
-        // Collect PA symbols in (thread, slot) order.
-        let mut syms: Vec<(usize, usize)> = Vec::new(); // (thread, local sym)
-        for (t, shape) in ts.iter().enumerate() {
-            for op in &shape.ops {
-                if let SlotOp::PteWrite {
-                    pa: PaRef::Fresh(k),
-                    ..
-                } = op
-                {
-                    syms.push((t, *k));
-                }
-            }
+        // Global VAs; PTE-write PAs stay local symbols until a PA
+        // assignment fills them in.
+        let va_threads: Vec<Vec<SlotOp>> = ts
+            .iter()
+            .zip(vmap)
+            .map(|(shape, m)| {
+                shape
+                    .ops
+                    .iter()
+                    .map(|&op| match op {
+                        SlotOp::Read { va, walk } => SlotOp::Read { va: m[va], walk },
+                        SlotOp::Write { va, walk } => SlotOp::Write { va: m[va], walk },
+                        SlotOp::Fence => SlotOp::Fence,
+                        SlotOp::TlbFlush => SlotOp::TlbFlush,
+                        SlotOp::Invlpg { va } => SlotOp::Invlpg { va: m[va] },
+                        SlotOp::PteWrite { va, pa } => SlotOp::PteWrite { va: m[va], pa },
+                    })
+                    .collect()
+            })
+            .collect();
+        let remaps: Vec<Vec<RemapPair>> = remap_assignments(&va_threads)
+            .into_iter()
+            .filter(|remap| spurious_invlpgs_useful(&va_threads, remap))
+            .collect();
+        if remaps.is_empty() {
+            continue;
         }
+
         // Each symbol maps to Initial(v) for v < num_vas or Fresh(j) with
         // first-use numbering.
         let mut assignments: Vec<Vec<PaRef>> = vec![Vec::new()];
-        for _ in &syms {
+        for _ in 0..num_syms {
             let mut grown = Vec::new();
             for a in &assignments {
                 let fresh_used = a
@@ -1082,57 +1148,26 @@ fn assign_and_emit(shapes: &[Shape], chosen: &[usize], sink: &mut EmitSink<'_>) 
         }
 
         for assignment in &assignments {
-            // Materialize global threads.
-            let mut threads: Vec<Vec<SlotOp>> = Vec::new();
+            let mut threads = va_threads.clone();
             let mut sym_iter = assignment.iter();
             let mut ok = true;
-            for (t, shape) in ts.iter().enumerate() {
-                let mut row = Vec::new();
-                for &op in &shape.ops {
-                    let g = match op {
-                        SlotOp::Read { va, walk } => SlotOp::Read {
-                            va: vmap[t][va],
-                            walk,
-                        },
-                        SlotOp::Write { va, walk } => SlotOp::Write {
-                            va: vmap[t][va],
-                            walk,
-                        },
-                        SlotOp::Fence => SlotOp::Fence,
-                        SlotOp::TlbFlush => SlotOp::TlbFlush,
-                        SlotOp::Invlpg { va } => SlotOp::Invlpg { va: vmap[t][va] },
-                        SlotOp::PteWrite { va, .. } => {
-                            let pa = *sym_iter.next().expect("one symbol per PTE write");
-                            let va = vmap[t][va];
-                            if !opts.allow_identity_remap && pa == PaRef::Initial(va) {
-                                ok = false;
-                            }
-                            SlotOp::PteWrite { va, pa }
-                        }
-                    };
-                    row.push(g);
+            for op in threads.iter_mut().flatten() {
+                if let SlotOp::PteWrite { va, pa } = op {
+                    *pa = *sym_iter.next().expect("one symbol per PTE write");
+                    if !opts.allow_identity_remap && *pa == PaRef::Initial(*va) {
+                        ok = false;
+                    }
                 }
-                threads.push(row);
             }
             if !ok {
                 continue;
             }
-            let rmw: Vec<(usize, usize)> = ts
-                .iter()
-                .enumerate()
-                .flat_map(|(t, s)| s.rmw.iter().map(move |&slot| (t, slot)))
-                .collect();
-
-            for remap in remap_assignments(&threads) {
-                let prog = Program {
+            for remap in &remaps {
+                sink.emit(Program {
                     threads: threads.clone(),
-                    remap,
+                    remap: remap.clone(),
                     rmw: rmw.clone(),
-                };
-                if !spurious_invlpgs_useful(&prog) {
-                    continue;
-                }
-                sink.emit(prog);
+                });
             }
         }
     }
@@ -1238,9 +1273,9 @@ fn remap_assignments(threads: &[Vec<SlotOp>]) -> Vec<Vec<RemapPair>> {
 
 /// Spurious (un-remapped) INVLPGs must be able to affect the execution: a
 /// later same-VA access on the same core.
-fn spurious_invlpgs_useful(p: &Program) -> bool {
-    let remapped: BTreeSet<(usize, usize)> = p.remap.iter().map(|&(_, i)| i).collect();
-    for (t, row) in p.threads.iter().enumerate() {
+fn spurious_invlpgs_useful(threads: &[Vec<SlotOp>], remap: &[RemapPair]) -> bool {
+    let remapped: BTreeSet<(usize, usize)> = remap.iter().map(|&(_, i)| i).collect();
+    for (t, row) in threads.iter().enumerate() {
         for (s, op) in row.iter().enumerate() {
             let SlotOp::Invlpg { va } = op else { continue };
             if remapped.contains(&(t, s)) {
@@ -1260,6 +1295,53 @@ fn spurious_invlpgs_useful(p: &Program) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Asserts the pruned enumeration yields the unpruned oracle's
+    /// program sequence, element for element.
+    fn assert_matches_unpruned(opts: &EnumOptions, what: &str) {
+        let pruned = programs(opts);
+        let oracle = unpruned::programs(opts);
+        let bound = opts.bound;
+        if let Some(i) = (0..pruned.len().min(oracle.len())).find(|&i| pruned[i] != oracle[i]) {
+            panic!(
+                "{what}, bound {bound}: program {i} is {:?}, oracle has {:?}",
+                pruned[i], oracle[i]
+            );
+        }
+        assert_eq!(pruned.len(), oracle.len(), "{what}, bound {bound}");
+    }
+
+    #[test]
+    fn pruned_enumeration_reproduces_the_unpruned_sequence() {
+        for bound in 1..=5 {
+            assert_matches_unpruned(&EnumOptions::new(bound), "defaults");
+        }
+    }
+
+    #[test]
+    fn pruned_enumeration_reproduces_the_unpruned_sequence_under_every_option() {
+        type Tweak = fn(&mut EnumOptions);
+        let tweaks: [(&str, Tweak); 5] = [
+            ("fences off", |o| o.allow_fences = false),
+            ("rmw off", |o| o.allow_rmw = false),
+            ("identity remaps", |o| o.allow_identity_remap = true),
+            ("symmetry off", |o| o.symmetry_reduction = false),
+            ("two threads", |o| o.max_threads = Some(2)),
+        ];
+        for (what, tweak) in tweaks {
+            for bound in 1..=4 {
+                let mut opts = EnumOptions::new(bound);
+                tweak(&mut opts);
+                assert_matches_unpruned(&opts, what);
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "about 30 s in release: the unpruned oracle materializes ~38 M programs"]
+    fn pruned_enumeration_reproduces_the_unpruned_sequence_at_bound_6() {
+        assert_matches_unpruned(&EnumOptions::new(6), "defaults");
+    }
 
     #[test]
     fn mass_eta_projects_linearly_from_the_retired_rate() {
@@ -1591,6 +1673,212 @@ mod tests {
                 }
                 if let Some(SlotOp::Fence) = row.first() {
                     panic!("leading fence in {p:?}");
+                }
+            }
+        }
+    }
+
+    /// The generate-and-filter enumerator `combine` and `assign_and_emit`
+    /// were before the feasibility filters moved up: no `INVLPG`-count
+    /// prune, and every PA assignment of every VA map is materialized
+    /// before its remaps are matched and checked. Kept verbatim as an
+    /// independent oracle for the pruned enumeration.
+    mod unpruned {
+        use super::super::*;
+
+        /// [`programs`](super::super::programs) over the unpruned recursion.
+        pub(super) fn programs(opts: &EnumOptions) -> Vec<Program> {
+            let mut all_shapes = shapes(opts.bound, opts);
+            all_shapes.sort_by_key(|s| s.cost);
+            let max_threads = opts.max_threads.unwrap_or(opts.bound);
+            let mut sink = EmitSink::new(opts, false);
+            let mut chosen: Vec<usize> = Vec::new();
+            combine(
+                &all_shapes,
+                0,
+                opts.bound,
+                max_threads,
+                &mut chosen,
+                &None,
+                &mut sink,
+            );
+            sink.out.into_iter().map(|kp| kp.program).collect()
+        }
+
+        fn combine(
+            shapes: &[Shape],
+            from: usize,
+            budget_left: usize,
+            threads_left: usize,
+            chosen: &mut Vec<usize>,
+            deadline: &Option<std::time::Instant>,
+            sink: &mut EmitSink<'_>,
+        ) {
+            if let Some(d) = deadline {
+                if std::time::Instant::now() > *d {
+                    return;
+                }
+            }
+            if !chosen.is_empty() {
+                assign_and_emit(shapes, chosen, sink);
+            }
+            if threads_left == 0 {
+                return;
+            }
+            for i in from..shapes.len() {
+                if shapes[i].cost > budget_left {
+                    break; // shapes are sorted by cost
+                }
+                chosen.push(i);
+                combine(
+                    shapes,
+                    i, // allow repeats; non-decreasing order breaks permutations
+                    budget_left - shapes[i].cost,
+                    threads_left - 1,
+                    chosen,
+                    deadline,
+                    sink,
+                );
+                chosen.pop();
+            }
+        }
+
+        fn assign_and_emit(shapes: &[Shape], chosen: &[usize], sink: &mut EmitSink<'_>) {
+            let opts = sink.opts;
+            let ts: Vec<&Shape> = chosen.iter().map(|&i| &shapes[i]).collect();
+
+            // Enumerate injective per-thread maps local VA → global VA with
+            // canonical (first-use) numbering of fresh globals.
+            let mut va_maps: Vec<Vec<Vec<usize>>> = vec![Vec::new()]; // per thread: map
+            let mut globals_so_far = vec![0usize];
+            for t in &ts {
+                let mut next_maps = Vec::new();
+                let mut next_globals = Vec::new();
+                for (maps, &g) in va_maps.iter().zip(&globals_so_far) {
+                    // Build all injective maps of t.num_vas locals into globals,
+                    // where locals in order may reuse existing or take the next
+                    // fresh id.
+                    let mut stack: Vec<(Vec<usize>, usize)> = vec![(Vec::new(), g)];
+                    for _local in 0..t.num_vas {
+                        let mut grown = Vec::new();
+                        for (m, gg) in stack {
+                            for cand in 0..=gg {
+                                if m.contains(&cand) {
+                                    continue; // injective within the thread
+                                }
+                                let mut m2 = m.clone();
+                                m2.push(cand);
+                                grown.push((m2, gg.max(cand + 1)));
+                            }
+                        }
+                        stack = grown;
+                    }
+                    for (m, gg) in stack {
+                        let mut full = maps.clone();
+                        full.push(m);
+                        next_maps.push(full);
+                        next_globals.push(gg);
+                    }
+                }
+                va_maps = next_maps;
+                globals_so_far = next_globals;
+            }
+
+            for (vmap, &num_vas) in va_maps.iter().zip(&globals_so_far) {
+                // Collect PA symbols in (thread, slot) order.
+                let mut syms: Vec<(usize, usize)> = Vec::new(); // (thread, local sym)
+                for (t, shape) in ts.iter().enumerate() {
+                    for op in &shape.ops {
+                        if let SlotOp::PteWrite {
+                            pa: PaRef::Fresh(k),
+                            ..
+                        } = op
+                        {
+                            syms.push((t, *k));
+                        }
+                    }
+                }
+                // Each symbol maps to Initial(v) for v < num_vas or Fresh(j) with
+                // first-use numbering.
+                let mut assignments: Vec<Vec<PaRef>> = vec![Vec::new()];
+                for _ in &syms {
+                    let mut grown = Vec::new();
+                    for a in &assignments {
+                        let fresh_used = a
+                            .iter()
+                            .filter_map(|p| match p {
+                                PaRef::Fresh(j) => Some(*j + 1),
+                                PaRef::Initial(_) => None,
+                            })
+                            .max()
+                            .unwrap_or(0);
+                        for v in 0..num_vas {
+                            let mut a2 = a.clone();
+                            a2.push(PaRef::Initial(v));
+                            grown.push(a2);
+                        }
+                        for j in 0..=fresh_used {
+                            let mut a2 = a.clone();
+                            a2.push(PaRef::Fresh(j));
+                            grown.push(a2);
+                        }
+                    }
+                    assignments = grown;
+                }
+
+                for assignment in &assignments {
+                    // Materialize global threads.
+                    let mut threads: Vec<Vec<SlotOp>> = Vec::new();
+                    let mut sym_iter = assignment.iter();
+                    let mut ok = true;
+                    for (t, shape) in ts.iter().enumerate() {
+                        let mut row = Vec::new();
+                        for &op in &shape.ops {
+                            let g = match op {
+                                SlotOp::Read { va, walk } => SlotOp::Read {
+                                    va: vmap[t][va],
+                                    walk,
+                                },
+                                SlotOp::Write { va, walk } => SlotOp::Write {
+                                    va: vmap[t][va],
+                                    walk,
+                                },
+                                SlotOp::Fence => SlotOp::Fence,
+                                SlotOp::TlbFlush => SlotOp::TlbFlush,
+                                SlotOp::Invlpg { va } => SlotOp::Invlpg { va: vmap[t][va] },
+                                SlotOp::PteWrite { va, .. } => {
+                                    let pa = *sym_iter.next().expect("one symbol per PTE write");
+                                    let va = vmap[t][va];
+                                    if !opts.allow_identity_remap && pa == PaRef::Initial(va) {
+                                        ok = false;
+                                    }
+                                    SlotOp::PteWrite { va, pa }
+                                }
+                            };
+                            row.push(g);
+                        }
+                        threads.push(row);
+                    }
+                    if !ok {
+                        continue;
+                    }
+                    let rmw: Vec<(usize, usize)> = ts
+                        .iter()
+                        .enumerate()
+                        .flat_map(|(t, s)| s.rmw.iter().map(move |&slot| (t, slot)))
+                        .collect();
+
+                    for remap in remap_assignments(&threads) {
+                        let prog = Program {
+                            threads: threads.clone(),
+                            remap,
+                            rmw: rmw.clone(),
+                        };
+                        if !spurious_invlpgs_useful(&prog.threads, &prog.remap) {
+                            continue;
+                        }
+                        sink.emit(prog);
+                    }
                 }
             }
         }
