@@ -89,10 +89,10 @@ usage: transform synthesize --axiom A|--all --bound N [--mtm M]
 
 Synthesize the per-axiom spanning-set suite of enhanced litmus tests at
 an instruction bound — one axiom, or with --all every axiom of the MTM
-through one fused run (the program space is enumerated once; no shared
-plan is built before workers start, and each axiom's suite is sealed
-into the cache the moment that axiom finishes). Every suite is
-byte-identical for every --jobs and --partition-size.
+through one fused run (the program space is enumerated and examined
+once for every axiom; no shared plan is built before workers start, and
+each axiom's suite is sealed into the cache as the last chunk retires).
+Every suite is byte-identical for every --jobs and --partition-size.
 
 flags:
   --axiom A              the MTM axiom to violate

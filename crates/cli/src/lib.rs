@@ -390,12 +390,12 @@ fn start_recorder(
 /// through **one fused streamed run** — straight through the engine,
 /// through the persistent suite store when `--cache` is given (tier
 /// hits served per axiom, all misses synthesized together and sealed
-/// per axiom as each finishes), and through the tiered local+remote
-/// cache when `--cache-url` names a shared `transform serve` endpoint
-/// too. Cached and fresh runs print identically — a warm run (local or
-/// remote) serves the sealed artifact of the cold one, statistics
-/// included. An observed run (cache hits marked cached, live runs
-/// publishing their counters) changes none of that.
+/// per axiom as the run's last chunk retires), and through the tiered
+/// local+remote cache when `--cache-url` names a shared `transform
+/// serve` endpoint too. Cached and fresh runs print identically — a
+/// warm run (local or remote) serves the sealed artifact of the cold
+/// one, statistics included. An observed run (cache hits marked
+/// cached, live runs publishing their counters) changes none of that.
 fn synthesize_maybe_cached(
     run: &Run<'_>,
     cache: Option<&str>,

@@ -23,22 +23,23 @@
 //!    are *admitted* strictly in ordinal order through a dedup frontier
 //!    — the same first-occurrence scan the sequential planner runs — so
 //!    plan indices never depend on scheduling. Each examine batch runs
-//!    on one [`transform_synth::Examiner`]; with the
-//!    [`SynthBackend::Relational`] backend that examiner owns one incremental
-//!    SAT solver (`tsat` solving under assumptions) serving every
-//!    program in the batch, and batch granularity autotunes to the
-//!    observed examination rate. Workers claim emitted ELT keys in a
+//!    on one multi-axiom [`transform_synth::Examiner`]; with the
+//!    [`SynthBackend::Relational`] backend that examiner owns one
+//!    incremental SAT solver per axiom (`tsat` solving under
+//!    assumptions) serving every program in the batch, and batch
+//!    granularity autotunes to the observed examination rate. Workers claim emitted ELT keys in a
 //!    concurrent streaming dedup set ([`dedup::KeySet`]) as results
 //!    stream in.
 //! 2. **Merge** — per-item results are re-ordered by plan index and
 //!    stitched into the suite; per-batch counters are kept and summed
 //!    losslessly.
 //!
-//! One [`Run`] covers one axiom or many: the synthesis plan is
-//! axiom-independent, so a run enumerates every partition once and fans
-//! each admitted chunk out as one examine batch per axiom — no shared
-//! plan is materialized before workers start, and each axiom's
-//! [`SuiteSink::run_done`] fires the moment its schedule retires (the
+//! One [`Run`] covers one axiom or many: the synthesis plan and
+//! candidate generation are axiom-independent, so a run enumerates
+//! every partition once and queues each admitted chunk as one examine
+//! batch, examined once per program for every axiom — no shared plan is
+//! materialized before workers start, and every axiom's
+//! [`SuiteSink::run_done`] fires when the last chunk retires (the
 //! per-axiom seal + push-on-seal hook). Partition splitting is
 //! *mass-balanced*: the exact shape-combination node count below every
 //! prefix is memoized ([`EnumSpace::balanced_for_target`]), so work
@@ -107,8 +108,10 @@ pub fn space_for(opts: &SynthOptions, jobs: usize) -> EnumSpace {
 /// Receives a suite's members as parallel shards finish, instead of the
 /// orchestrator collecting them in memory.
 ///
-/// The persistent suite store (`transform-store`) implements this to
-/// append shard files as workers retire shards; a collecting
+/// A run has one sink per axiom; each examined chunk reports one shard
+/// to every axiom's sink. The persistent suite store
+/// (`transform-store`) implements this with an in-memory spool that
+/// its seal encodes into the sealed entry; a collecting
 /// implementation reproduces the in-memory [`Suite`]. Calls arrive from
 /// worker threads in completion order — implementations must be
 /// thread-safe, and must not assume record indices arrive sorted. Every
@@ -172,9 +175,9 @@ impl SuiteSink for CollectSink {
 /// [`transform_synth::synthesize_suite`], and the
 /// `executions`/`forbidden`/`minimal` counters sum to the same totals;
 /// only the per-shard breakdown and wall-clock differ. With a timeout,
-/// the budget covers the whole run; an axiom whose schedule fully
-/// retired before the expiry stays complete, and each suite's `elapsed`
-/// reports the shared run's wall-clock at its own completion.
+/// the budget covers the whole run; a run whose schedule fully retired
+/// before the expiry stays complete, and each suite's `elapsed` reports
+/// the shared run's wall-clock at completion.
 #[derive(Clone, Copy)]
 pub struct Run<'a> {
     /// The model whose axioms are synthesized.
@@ -207,8 +210,8 @@ impl<'a> Run<'a> {
         }
     }
 
-    /// Runs the pipeline, streaming every retired batch into the sink of
-    /// its axiom (`sinks[i]` receives `axioms[i]`) instead of collecting
+    /// Runs the pipeline, streaming every retired batch into every
+    /// axiom's sink (`sinks[i]` receives `axioms[i]`) instead of collecting
     /// members in memory. Returns the per-axiom counters in `axioms`
     /// order and the run's scheduling metrics; the suites live wherever
     /// the sinks put them. Sorting an axiom's records by

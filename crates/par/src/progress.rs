@@ -97,7 +97,9 @@ pub enum JournalEventKind {
     PartitionRetired,
     /// One examine batch retired for `axiom`: `a` = plan items
     /// examined, `b` = suite members found, `c` = batch wall-clock in
-    /// microseconds (so `t_micros - c` is the batch's start).
+    /// microseconds (so `t_micros - c` is the batch's start). A batch
+    /// examines every axiom of the run at once, so its axioms' events
+    /// share `c`.
     BatchExamined,
     /// Out-of-order delivery head-blocked the dedup frontier past the
     /// lookahead window: `a` = the frontier ordinal being waited on,
@@ -109,7 +111,7 @@ pub enum JournalEventKind {
     /// partition.
     Cut,
     /// The run drained: `a` = programs admitted, `b` = plan items,
-    /// `c` = batches created.
+    /// `c` = batches (chunks) created.
     RunEnd,
     /// A store tier sealed `axiom`'s suite: `a` = sealed entry bytes.
     Seal,
@@ -432,7 +434,8 @@ pub struct ProgressSnapshot {
     /// Peak of [`ProgressSnapshot::live_candidates`] over the run,
     /// deadline-discarded tails included.
     pub peak_live_candidates: usize,
-    /// Examine batches created, across all axioms.
+    /// Examine batches created: one per admitted chunk, each examined
+    /// for every axiom.
     pub batches: usize,
     /// First partition the deadline cut, if any.
     pub cut_at_partition: Option<usize>,

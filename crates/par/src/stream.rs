@@ -7,21 +7,22 @@
 //! pass. Here the enumeration's prefix partitions ([`EnumSpace`]) are
 //! themselves pool tasks: workers alternate between *enumerating* a
 //! partition (materializing its programs with canonical keys, computed
-//! once) and *examining* an `(axiom, batch)` work item, so SAT and
+//! once) and *examining* a batch of admitted plan items, so SAT and
 //! relational solving start while later partitions are still being
 //! generated and peak live candidates stay bounded by partition size.
 //!
 //! # The fused cross-axiom run
 //!
 //! The synthesis plan is axiom-independent (it keeps write-bearing
-//! canonical first occurrences), so a multi-axiom run enumerates every
-//! partition **once** and fans each admitted chunk out as one examine
-//! batch *per axiom* — no shared plan is materialized before workers
-//! start, and an axiom whose batches all retire is finished
-//! immediately: its [`SuiteSink::run_done`] fires from the pool (the
-//! per-axiom seal + push-on-seal hook), not at the end of the whole
-//! run. Admitted chunks are shared by reference across axioms, so the
-//! multi-axiom run holds each candidate program in memory once.
+//! canonical first occurrences), and so is candidate generation: only
+//! the final violation filter depends on the axiom. A multi-axiom run
+//! therefore enumerates every partition **once** and queues each
+//! admitted chunk as **one** examine batch, which a multi-axiom
+//! [`Examiner`] examines once per program for every axiom; the batch's
+//! per-axiom results stream into per-axiom sinks. No shared plan is
+//! materialized before workers start, and the moment the last chunk
+//! retires every axiom's [`SuiteSink::run_done`] fires from the pool
+//! (the per-axiom seal + push-on-seal hook).
 //!
 //! # Determinism
 //!
@@ -44,8 +45,8 @@
 //! worker-race-dependent subset. The cut is shared by every axiom of a
 //! fused run (they examine the same plan). Examination stays
 //! best-effort after expiry, exactly like the sequential engine's
-//! mid-plan stop — but an axiom that already retired its whole schedule
-//! before the expiry stays complete.
+//! mid-plan stop — but a run whose whole schedule retired before the
+//! expiry stays complete.
 //!
 //! # Autotuned batch granularity
 //!
@@ -61,7 +62,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 use transform_core::axiom::Mtm;
-use transform_synth::programs::{EnumSpace, KeyedProgram};
+use transform_synth::programs::{EnumSpace, KeyedProgram, Program};
 use transform_synth::{
     branches_co_pa, Examiner, ShardStats, SuiteRecord, SuiteStats, SynthOptions, SynthesizedElt,
     WorkItem,
@@ -87,12 +88,12 @@ pub struct StreamMetrics {
     /// First partition cut by the deadline (`None`: enumeration ran to
     /// completion). Everything below it was fully planned.
     pub cut_at_partition: Option<usize>,
-    /// Examine batches created across all axioms (a deadline cut
-    /// abandons queued batches, which stay counted here but produce no
-    /// shard stats).
+    /// Examine batches created — one per admitted chunk, each examined
+    /// for every axiom (a deadline cut abandons queued batches, which
+    /// stay counted here but produce no shard stats).
     pub batches: usize,
     /// Peak number of simultaneously materialized candidate programs
-    /// (enumerated but not yet examined by every axiom, or dropped) —
+    /// (enumerated but not yet examined, or dropped) —
     /// bounded by the lookahead window (twice the worker count) times
     /// the largest partition, not by the size of the enumeration.
     ///
@@ -277,15 +278,31 @@ impl Tuner {
     }
 }
 
-/// A batch of plan items examined for one axiom on one [`Examiner`]
-/// (one incremental solver). The item chunk is shared by reference
-/// across the axioms of a fused run; chunks never span partitions, so
-/// every item in a batch shares its first-thread shape — the prefix
-/// affinity that makes solver reuse pay.
+/// A chunk of plan items examined for every axiom of the run on one
+/// [`Examiner`] (for the relational backend, one incremental solver
+/// per axiom). Chunks never span partitions, so every item in a batch
+/// shares its first-thread shape — the prefix affinity that makes
+/// solver reuse pay.
 struct Batch {
-    axiom: usize,
     shard: usize,
-    items: Arc<Vec<WorkItem>>,
+    items: Vec<WorkItem>,
+}
+
+/// What one retired batch reports back to the pipeline.
+struct Retired {
+    /// Items in the batch; all of them leave the live count.
+    len: usize,
+    /// Items examined for at least one axiom (a prefix, on a deadline
+    /// cut).
+    examined: usize,
+    /// Summed [`item_weight`] of the examined items.
+    weight: u64,
+    /// Per run axiom: items examined and suite members found.
+    per_axiom: Vec<(usize, usize)>,
+    /// The batch's wall-clock, shared by every axiom it examined.
+    elapsed: Duration,
+    /// The deadline cut the batch short.
+    cut: bool,
 }
 
 enum Task {
@@ -310,18 +327,16 @@ struct State {
     expired: bool,
     admitter: Admitter,
     exam: VecDeque<Batch>,
-    /// Next chunk ordinal — the per-axiom shard id.
+    /// Next chunk ordinal — the shard id every axiom's stats carry.
     next_shard: usize,
-    /// Batches created, across all axioms.
+    /// Batches (chunks) created.
     batches: usize,
-    /// Outstanding (created, not yet retired) batches per axiom.
-    remaining: Vec<usize>,
-    /// An axiom whose batch was cut mid-way can never complete.
-    axiom_cut: Vec<bool>,
-    /// Axioms whose whole schedule retired cleanly (latched).
-    complete: Vec<bool>,
-    /// Live-candidate refcounts per chunk: (axioms outstanding, items).
-    chunk_refs: BTreeMap<usize, (usize, usize)>,
+    /// Outstanding (created, not yet retired) batches.
+    remaining: usize,
+    /// A batch was cut mid-way: the run can never complete.
+    batch_cut: bool,
+    /// The whole schedule retired cleanly (latched).
+    complete: bool,
     live: usize,
     peak_live: usize,
     /// Estimated subtree mass of the partitions admitted so far.
@@ -336,29 +351,26 @@ impl State {
         self.frontier == partition_count && self.enumerating == 0
     }
 
-    /// Latches completion for every axiom whose schedule fully retired;
-    /// returns the newly completed ones so the caller can finish them
+    /// Whether the whole schedule retired cleanly: enumeration settled
+    /// and every batch retired uncut.
+    fn schedule_retired(&self, partition_count: usize) -> bool {
+        self.enum_settled(partition_count) && self.remaining == 0 && !self.batch_cut
+    }
+
+    /// Latches completion once the whole schedule retired; returns
+    /// `true` exactly once, so the caller can finish every axiom
     /// (assemble stats, fire `run_done`) outside the lock.
-    fn newly_complete(&mut self, partition_count: usize) -> Vec<usize> {
-        if !self.enum_settled(partition_count) {
-            return Vec::new();
+    fn newly_complete(&mut self, partition_count: usize) -> bool {
+        if self.complete || !self.schedule_retired(partition_count) {
+            return false;
         }
-        let mut out = Vec::new();
-        for ai in 0..self.remaining.len() {
-            if !self.complete[ai] && self.remaining[ai] == 0 && !self.axiom_cut[ai] {
-                self.complete[ai] = true;
-                out.push(ai);
-            }
-        }
-        out
+        self.complete = true;
+        true
     }
 }
 
 struct Pipeline<'s> {
     space: &'s EnumSpace,
-    axioms: usize,
-    /// Per-partition estimated mass, by ordinal ([`EnumSpace::masses`]).
-    masses: Vec<u64>,
     /// The run's live telemetry: published (relaxed stores) from inside
     /// every lock-held transition, sampled lock-free by observers. The
     /// final [`StreamMetrics`] is this state's last snapshot.
@@ -388,7 +400,6 @@ impl<'s> Pipeline<'s> {
         jobs: usize,
         fixed_batch: Option<usize>,
     ) -> Self {
-        let axioms = axiom_names.len();
         let progress = match progress {
             Some(p) => Arc::clone(p),
             None => Arc::new(ProgressState::new(axiom_names)),
@@ -401,15 +412,11 @@ impl<'s> Pipeline<'s> {
                     .unwrap_or_else(|| panic!("progress state does not track axiom `{name}`"))
             })
             .collect();
-        let masses = space.masses();
         use std::sync::atomic::Ordering::Relaxed;
         progress
             .partitions_total
             .store(space.partition_count(), Relaxed);
-        progress.mass_total.store(
-            masses.iter().fold(0u64, |a, &m| a.saturating_add(m)),
-            Relaxed,
-        );
+        progress.mass_total.store(space.total_mass(), Relaxed);
         progress
             .final_batch_size
             .store(Tuner::new(fixed_batch).batch_size(), Relaxed);
@@ -418,8 +425,6 @@ impl<'s> Pipeline<'s> {
         }
         Pipeline {
             space,
-            axioms,
-            masses,
             progress,
             slots,
             deadline,
@@ -435,10 +440,9 @@ impl<'s> Pipeline<'s> {
                 exam: VecDeque::new(),
                 next_shard: 0,
                 batches: 0,
-                remaining: vec![0; axioms],
-                axiom_cut: vec![false; axioms],
-                complete: vec![false; axioms],
-                chunk_refs: BTreeMap::new(),
+                remaining: 0,
+                batch_cut: false,
+                complete: false,
                 live: 0,
                 peak_live: 0,
                 mass_retired: 0,
@@ -512,10 +516,10 @@ impl<'s> Pipeline<'s> {
     }
 
     /// One partition's outcome: its programs, or `None` when its worker
-    /// saw the deadline expired before enumerating it. Returns the
-    /// axioms this settles (an empty plan completes every axiom the
-    /// moment the last partition is admitted).
-    fn resolve(&self, ordinal: usize, outcome: Option<Vec<KeyedProgram>>) -> Vec<usize> {
+    /// saw the deadline expired before enumerating it. Returns whether
+    /// this completes the run (an empty plan completes the moment the
+    /// last partition is admitted).
+    fn resolve(&self, ordinal: usize, outcome: Option<Vec<KeyedProgram>>) -> bool {
         let mut st = self.state.lock().expect("pipeline lock is never poisoned");
         st.enumerating -= 1;
         if let Some(keyed) = &outcome {
@@ -537,7 +541,7 @@ impl<'s> Pipeline<'s> {
             }
             self.publish(&st);
             self.cv.notify_all();
-            return Vec::new();
+            return false;
         }
         if let Some(keyed) = &outcome {
             st.live += keyed.len();
@@ -563,12 +567,13 @@ impl<'s> Pipeline<'s> {
                     let delivered = keyed.len();
                     let mut items = st.admitter.admit(keyed);
                     st.live -= delivered - items.len(); // dropped by dedup
-                    st.mass_retired = st.mass_retired.saturating_add(self.masses[st.frontier]);
+                    let mass = self.space.masses()[st.frontier];
+                    st.mass_retired = st.mass_retired.saturating_add(mass);
                     self.progress.record(
                         JournalEventKind::PartitionRetired,
                         None,
                         st.frontier as u64,
-                        self.masses[st.frontier],
+                        mass,
                         0,
                     );
                     let target = st.tuner.target_weight();
@@ -592,21 +597,16 @@ impl<'s> Pipeline<'s> {
                             None => st.tuner.batch_size(),
                         };
                         let rest = items.split_off(take.min(items.len()).max(1));
-                        let chunk = Arc::new(std::mem::replace(&mut items, rest));
+                        let chunk = std::mem::replace(&mut items, rest);
                         let shard = st.next_shard;
                         st.next_shard += 1;
-                        st.chunk_refs.insert(shard, (self.axioms, chunk.len()));
-                        // One batch per axiom, axiom-major within the
-                        // chunk, all sharing the item storage.
-                        for axiom in 0..self.axioms {
-                            st.exam.push_back(Batch {
-                                axiom,
-                                shard,
-                                items: Arc::clone(&chunk),
-                            });
-                            st.batches += 1;
-                            st.remaining[axiom] += 1;
-                        }
+                        // One batch per chunk, examined for every axiom.
+                        st.exam.push_back(Batch {
+                            shard,
+                            items: chunk,
+                        });
+                        st.batches += 1;
+                        st.remaining += 1;
                     }
                     st.frontier += 1;
                 }
@@ -629,50 +629,36 @@ impl<'s> Pipeline<'s> {
         done
     }
 
-    /// One batch retired (possibly cut short by the deadline),
-    /// `examined` of its plan items absorbed and `found` suite members
-    /// emitted. Returns the axioms this completes.
-    #[allow(clippy::too_many_arguments)]
-    fn batch_done(
-        &self,
-        axiom: usize,
-        shard: usize,
-        examined: usize,
-        weight: u64,
-        found: usize,
-        elapsed: Duration,
-        cut: bool,
-    ) -> Vec<usize> {
+    /// One batch retired (possibly cut short by the deadline). Returns
+    /// whether this completes the run.
+    fn batch_done(&self, retired: &Retired) -> bool {
         use std::sync::atomic::Ordering::Relaxed;
-        let ax = self.progress.axiom(self.slots[axiom]);
-        ax.batches_done.fetch_add(1, Relaxed);
-        ax.items_examined.fetch_add(examined, Relaxed);
-        ax.elts.fetch_add(found, Relaxed);
-        let mut st = self.state.lock().expect("pipeline lock is never poisoned");
-        st.remaining[axiom] -= 1;
-        // A candidate chunk stays live until its last axiom retires it.
-        if let Some(refs) = st.chunk_refs.get_mut(&shard) {
-            refs.0 -= 1;
-            if refs.0 == 0 {
-                let (_, len) = st.chunk_refs.remove(&shard).expect("present");
-                st.live = st.live.saturating_sub(len);
-            }
+        for (&slot, &(examined, found)) in self.slots.iter().zip(&retired.per_axiom) {
+            let ax = self.progress.axiom(slot);
+            ax.batches_done.fetch_add(1, Relaxed);
+            ax.items_examined.fetch_add(examined, Relaxed);
+            ax.elts.fetch_add(found, Relaxed);
         }
-        st.tuner.observe(examined, weight, elapsed);
-        self.progress.record(
-            JournalEventKind::BatchExamined,
-            Some(self.slots[axiom] as u32),
-            examined as u64,
-            found as u64,
-            elapsed.as_micros() as u64,
-        );
-        if cut {
-            // Examination hit the deadline: this axiom's suite is
+        let mut st = self.state.lock().expect("pipeline lock is never poisoned");
+        st.remaining -= 1;
+        st.live = st.live.saturating_sub(retired.len);
+        st.tuner
+            .observe(retired.examined, retired.weight, retired.elapsed);
+        for (&slot, &(examined, found)) in self.slots.iter().zip(&retired.per_axiom) {
+            self.progress.record(
+                JournalEventKind::BatchExamined,
+                Some(slot as u32),
+                examined as u64,
+                found as u64,
+                retired.elapsed.as_micros() as u64,
+            );
+        }
+        if retired.cut {
+            // Examination hit the deadline: every axiom's suite is
             // partial, the plan ends at the current frontier (when
             // enumeration was still in flight), and all queued work is
-            // abandoned. Axioms whose schedule already retired stay
-            // complete.
-            st.axiom_cut[axiom] = true;
+            // abandoned.
+            st.batch_cut = true;
             if st.cut_at.is_none() && st.frontier < self.space.partition_count() {
                 st.cut_at = Some(st.frontier);
                 self.progress
@@ -688,12 +674,10 @@ impl<'s> Pipeline<'s> {
 
     /// The deadline struck: discard all queued work, with exact live
     /// accounting for the discarded tail — enumerated-but-unadmitted
-    /// partitions leave the live count, and queued batches drop their
-    /// chunk references (a chunk whose every remaining reference was
-    /// queued is freed now; in-flight batches still hold theirs and
-    /// release them in [`Pipeline::batch_done`]). Abandoned batches
-    /// stay counted in `remaining`, which (correctly) blocks their
-    /// axioms from ever completing.
+    /// partitions and queued batches leave the live count now, while
+    /// in-flight batches release theirs in [`Pipeline::batch_done`].
+    /// Abandoned batches stay counted in `remaining`, which (correctly)
+    /// blocks the run from ever completing.
     fn expire(st: &mut State) {
         st.expired = true;
         for (_, outcome) in std::mem::take(&mut st.resolved) {
@@ -702,13 +686,7 @@ impl<'s> Pipeline<'s> {
             }
         }
         for batch in std::mem::take(&mut st.exam) {
-            if let Some(refs) = st.chunk_refs.get_mut(&batch.shard) {
-                refs.0 -= 1;
-                if refs.0 == 0 {
-                    let (_, len) = st.chunk_refs.remove(&batch.shard).expect("present");
-                    st.live = st.live.saturating_sub(len);
-                }
-            }
+            st.live = st.live.saturating_sub(batch.items.len());
         }
     }
 }
@@ -731,7 +709,7 @@ struct RunCtx<'r> {
 }
 
 /// One pool worker: alternates between enumerating partitions and
-/// examining `(axiom, batch)` items until the pipeline drains.
+/// examining batches for every axiom until the pipeline drains.
 fn worker(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>) {
     while let Some(task) = pipeline.next_task() {
         match task {
@@ -747,74 +725,88 @@ fn worker(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>) {
                             .enumerate_keyed_within(ordinal, pipeline.deadline)
                     })
                     .filter(|_| !pipeline.past_deadline());
-                for ai in pipeline.resolve(ordinal, outcome) {
-                    finish_axiom(pipeline, ctx, ai);
+                if pipeline.resolve(ordinal, outcome) {
+                    finish_run(pipeline, ctx);
                 }
             }
             Task::Examine(batch) => {
-                let ai = batch.axiom;
-                let start = Instant::now();
-                // One examiner — and, for the relational backend, one
-                // incremental SAT solver — per batch.
-                let mut examiner =
-                    Examiner::new(ctx.mtm, ctx.axioms[ai], ctx.opts.backend, ctx.branch_co_pa);
-                let mut stats = ShardStats::new(batch.shard);
-                let mut records = Vec::new();
-                let mut cut = false;
-                let mut weight = 0u64;
-                for item in batch.items.iter() {
-                    if pipeline.past_deadline() {
-                        cut = true;
-                        break;
-                    }
-                    weight += item_weight(item);
-                    let mut examined = examiner.examine(&item.program);
-                    stats.absorb(&examined);
-                    if examined.witness.is_some() && !ctx.claimed[ai].claim(&item.key) {
-                        // The admitter guarantees key uniqueness; dropping
-                        // a duplicate witness (never its counters) keeps
-                        // the merge correct even if a future enumerator
-                        // breaks that invariant.
-                        debug_assert!(false, "duplicate canonical key in admitted plan");
-                        examined.witness = None;
-                    }
-                    if let Some((witness, violated)) = examined.witness {
-                        records.push(SuiteRecord {
-                            index: item.index,
-                            elt: SynthesizedElt {
-                                program: item.program.clone(),
-                                witness,
-                                violated,
-                            },
-                        });
-                    }
-                }
-                ctx.shard_stats[ai]
-                    .lock()
-                    .expect("stats lock is never poisoned")
-                    .push(stats);
-                let found = records.len();
-                ctx.sinks[ai].shard_done(stats, records);
-                for done in pipeline.batch_done(
-                    ai,
-                    batch.shard,
-                    stats.items,
-                    weight,
-                    found,
-                    start.elapsed(),
-                    cut,
-                ) {
-                    finish_axiom(pipeline, ctx, done);
+                if pipeline.batch_done(&examine_batch(pipeline, ctx, &batch)) {
+                    finish_run(pipeline, ctx);
                 }
             }
         }
     }
 }
 
-/// An axiom's whole schedule retired cleanly: assemble its final stats
-/// and fire its sink's completion hook *now* — a fused run seals (and
-/// pushes) each per-axiom suite as it finishes, not when the whole run
-/// drains.
+/// Examines one batch for every axiom of the run on one multi-axiom
+/// [`Examiner`], and streams each axiom's shard stats and suite members
+/// into that axiom's sink.
+fn examine_batch(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, batch: &Batch) -> Retired {
+    let start = Instant::now();
+    let mut examiner =
+        Examiner::for_axioms(ctx.mtm, ctx.axioms, ctx.opts.backend, ctx.branch_co_pa);
+    let programs: Vec<&Program> = batch.items.iter().map(|item| &item.program).collect();
+    let mut cut = false;
+    let results = examiner.examine_chunk(&programs, || {
+        cut = cut || pipeline.past_deadline();
+        cut
+    });
+    let mut per_axiom = Vec::with_capacity(results.len());
+    for (ai, axiom_results) in results.into_iter().enumerate() {
+        let mut stats = ShardStats::new(batch.shard);
+        let mut records = Vec::new();
+        for (item, mut result) in batch.items.iter().zip(axiom_results) {
+            stats.absorb(&result);
+            if result.witness.is_some() && !ctx.claimed[ai].claim(&item.key) {
+                // The admitter guarantees key uniqueness; dropping a
+                // duplicate witness (never its counters) keeps the merge
+                // correct even if a future enumerator breaks that
+                // invariant.
+                debug_assert!(false, "duplicate canonical key in admitted plan");
+                result.witness = None;
+            }
+            if let Some((witness, violated)) = result.witness {
+                records.push(SuiteRecord {
+                    index: item.index,
+                    elt: SynthesizedElt {
+                        program: item.program.clone(),
+                        witness,
+                        violated,
+                    },
+                });
+            }
+        }
+        per_axiom.push((stats.items, records.len()));
+        ctx.shard_stats[ai]
+            .lock()
+            .expect("stats lock is never poisoned")
+            .push(stats);
+        ctx.sinks[ai].shard_done(stats, records);
+    }
+    // The tuner weighs the longest examined prefix (on a relational
+    // deadline cut, later axioms stop short of earlier ones).
+    let examined = per_axiom.iter().map(|&(items, _)| items).max().unwrap_or(0);
+    Retired {
+        len: batch.items.len(),
+        examined,
+        weight: batch.items[..examined].iter().map(item_weight).sum(),
+        per_axiom,
+        elapsed: start.elapsed(),
+        cut,
+    }
+}
+
+/// The whole schedule retired cleanly: finish every axiom of the run.
+fn finish_run(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>) {
+    for ai in 0..ctx.axioms.len() {
+        finish_axiom(pipeline, ctx, ai);
+    }
+}
+
+/// An axiom's schedule retired cleanly: assemble its final stats and
+/// fire its sink's completion hook *now*, from the pool — the seal (and
+/// push) of a cached run happens as the last chunk retires, not after
+/// the workers join.
 fn finish_axiom(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, ai: usize) {
     let mut shards = ctx.shard_stats[ai]
         .lock()
@@ -843,9 +835,9 @@ fn finish_axiom(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, ai: usize) {
 /// Runs the fused enumerate-while-examining pipeline for the run's
 /// axioms (one or many) on `run.jobs` workers, streaming retired
 /// batches into the per-axiom sinks. Partitions are enumerated once and
-/// their admitted chunks shared across axioms; each axiom's `run_done`
-/// fires the moment its schedule retires. Returns per-axiom counters
-/// (in `axioms` order) and the run's scheduling metrics.
+/// each admitted chunk is examined once for every axiom; every axiom's
+/// `run_done` fires when the last chunk retires. Returns per-axiom
+/// counters (in `axioms` order) and the run's scheduling metrics.
 ///
 /// # Panics
 ///
@@ -934,10 +926,7 @@ pub(crate) fn run_fused(
                     // empty and no pipeline event ever fired (complete,
                     // trivially). Its run_done still fires exactly once
                     // — sinks never seal timed-out runs.
-                    let complete = !st.expired
-                        && st.enum_settled(space.partition_count())
-                        && st.remaining[ai] == 0
-                        && !st.axiom_cut[ai];
+                    let complete = !st.expired && st.schedule_retired(space.partition_count());
                     progress.set_axiom_state(
                         slots[ai],
                         if complete {
@@ -1078,10 +1067,11 @@ mod tests {
         assert_eq!(queued, expected_items);
     }
 
-    /// A fused two-axiom pipeline fans each admitted chunk out once per
-    /// axiom, sharing the chunk storage.
+    /// A fused three-axiom pipeline queues each admitted chunk once: one
+    /// batch per chunk, whatever the axiom count, covering the plan
+    /// exactly once.
     #[test]
-    fn fused_pipeline_fans_chunks_out_per_axiom() {
+    fn fused_pipeline_queues_one_batch_per_chunk() {
         let eo = enum_opts(4, true);
         let space = EnumSpace::with_target_partitions(&eo, 4);
         // A window wide enough to claim every partition before any
@@ -1104,19 +1094,18 @@ mod tests {
             pipeline.resolve(ordinal, Some(space.enumerate_keyed(ordinal)));
         }
         let st = pipeline.state.into_inner().expect("lock");
-        assert_eq!(st.batches % 3, 0, "every chunk spawns one batch per axiom");
-        assert_eq!(st.remaining, vec![st.batches / 3; 3]);
-        // Each chunk appears three times, as the same shared storage.
-        let mut by_shard: BTreeMap<usize, Vec<&Batch>> = BTreeMap::new();
-        for b in &st.exam {
-            by_shard.entry(b.shard).or_default().push(b);
-        }
-        for (_, batches) in by_shard {
-            assert_eq!(batches.len(), 3);
-            assert!(batches
-                .windows(2)
-                .all(|w| Arc::ptr_eq(&w[0].items, &w[1].items)));
-        }
+        assert_eq!(st.exam.len(), st.batches, "one batch per chunk");
+        assert_eq!(st.remaining, st.batches);
+        let shards: Vec<usize> = st.exam.iter().map(|b| b.shard).collect();
+        assert_eq!(shards, (0..st.batches).collect::<Vec<_>>());
+        // The queued batches cover the admitted plan once, in order.
+        let indices: Vec<usize> = st
+            .exam
+            .iter()
+            .flat_map(|b| b.items.iter().map(|i| i.index))
+            .collect();
+        assert_eq!(indices, (0..st.admitter.next_index).collect::<Vec<_>>());
+        assert_eq!(st.live, indices.len());
     }
 
     /// Regression for the former "best-effort on timed-out runs" peak
@@ -1149,7 +1138,6 @@ mod tests {
             assert_eq!(st.cut_at, Some(1));
             assert_eq!(st.live, 0, "abandoned queue drained exactly");
             assert!(st.exam.is_empty());
-            assert!(st.chunk_refs.is_empty());
         }
         // Partition 2 lands after expiry: discarded, but its programs
         // were materialized — the peak must include them.
@@ -1176,7 +1164,7 @@ mod tests {
     fn progress_mirrors_frontier_advance() {
         let eo = enum_opts(4, true);
         let space = EnumSpace::with_target_partitions(&eo, 8);
-        let masses = space.masses();
+        let masses = space.masses().to_vec();
         let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None);
         assert_eq!(pipeline.progress.snapshot().mass_total, space.total_mass());
         for ordinal in 0..space.partition_count() {
@@ -1188,7 +1176,14 @@ mod tests {
                     }
                     Some(Task::Examine(b)) => {
                         // Examination has pop priority; retire it untouched.
-                        pipeline.batch_done(b.axiom, b.shard, 0, 0, 0, Duration::ZERO, false);
+                        pipeline.batch_done(&Retired {
+                            len: b.items.len(),
+                            examined: 0,
+                            weight: 0,
+                            per_axiom: vec![(0, 0)],
+                            elapsed: Duration::ZERO,
+                            cut: false,
+                        });
                     }
                     None => panic!("pipeline drained early"),
                 }

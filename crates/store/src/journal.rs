@@ -165,7 +165,9 @@ pub struct RunManifest {
     pub programs: u64,
     /// Plan items produced by the admitter.
     pub items_planned: u64,
-    /// Examine batches created across all axioms.
+    /// Examine batches created: one per admitted chunk (journals from
+    /// builds before chunks were examined once for every axiom counted
+    /// one per chunk and axiom).
     pub batches: u64,
     /// Peak live candidate programs.
     pub peak_live_candidates: u64,

@@ -16,11 +16,12 @@
 //!   statistics, round-tripping exactly: a decoded witness prints
 //!   byte-identically under [`transform_litmus::format::print_elt`].
 //! * [`fingerprint`] — the content-address of a synthesis run.
-//! * [`store`] — the on-disk format: parallel workers stream shard
-//!   files as shards retire ([`store::PendingSuite`] implements
-//!   [`transform_par::SuiteSink`]), a deterministic merge seals the
-//!   canonical index, and [`store::SuiteReader`] iterates a sealed
-//!   suite record-by-record behind checksum validation.
+//! * [`store`] — the on-disk format: parallel workers hand retired
+//!   shards to an in-memory spool ([`store::PendingSuite`] implements
+//!   [`transform_par::SuiteSink`]), the seal encodes the records in
+//!   plan-index order and renames the canonical entry into place, and
+//!   [`store::SuiteReader`] iterates a sealed suite record-by-record
+//!   behind checksum validation.
 //! * [`journal`] — synthesis runs as durable artifacts: a checksummed
 //!   binary journal per run (manifest + timestamped pipeline events)
 //!   written alongside the sealed suites, the substrate for

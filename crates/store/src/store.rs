@@ -1,5 +1,5 @@
-//! The on-disk store: shard-streaming writes, a sealed canonical index
-//! per suite, and checksum-validated streaming reads.
+//! The on-disk store: an in-memory shard spool, a sealed canonical
+//! index per suite, and checksum-validated streaming reads.
 //!
 //! # Layout
 //!
@@ -8,17 +8,17 @@
 //!
 //! ```text
 //! store/
-//!   3f9c…e2a1.tfs            sealed suite (canonical order, checksummed)
-//!   tmp-3f9c…e2a1-1234/      an in-progress synthesis (pid-suffixed)
-//!     shard-0007.bin         one worker-written shard
+//!   3f9c…e2a1.tfs                 sealed suite (canonical order, checksummed)
+//!   tmp-seal-3f9c…e2a1-1234-0     a seal being staged (pid + nonce)
 //! ```
 //!
-//! Workers append `shard-*.bin` files as shards retire (the
-//! [`transform_par::SuiteSink`] implementation on [`PendingSuite`]);
-//! [`PendingSuite::seal`] merges them — sorting the framed records by
-//! plan index *without decoding payloads* — into the suite file, then
-//! atomically renames it into place. A crash before `seal` leaves only
-//! a `tmp-*` directory, which never shadows a sealed entry.
+//! Workers hand each retired shard — its counters and its suite members,
+//! which are few — to the [`transform_par::SuiteSink`] implementation
+//! on [`PendingSuite`], which keeps them in memory. [`PendingSuite::seal`]
+//! encodes the records in plan-index order into the suite file, stages
+//! it as a `tmp-*` file and atomically renames it into place. A crash
+//! before the rename leaves at most a `tmp-*` file, which never shadows
+//! a sealed entry (`store gc` sweeps it).
 //!
 //! # Integrity
 //!
@@ -31,8 +31,8 @@
 //! instead of serving damage.
 
 use crate::codec::{
-    self, decode_record, decode_suite_stats, encode_record, encode_shard_stats, encode_suite_stats,
-    fnv1a64, CodecError, Dec, Enc, Fnv64, FORMAT_VERSION,
+    self, decode_record, decode_suite_stats, encode_record, encode_suite_stats, fnv1a64,
+    CodecError, Dec, Enc, Fnv64, FORMAT_VERSION,
 };
 use crate::fingerprint::Fingerprint;
 use std::error::Error;
@@ -46,7 +46,6 @@ use transform_par::SuiteSink;
 use transform_synth::{ShardStats, Suite, SuiteRecord, SuiteStats, SynthOptions};
 
 const SUITE_MAGIC: &[u8; 8] = b"TFSUITE\0";
-const SHARD_MAGIC: &[u8; 8] = b"TFSHARD\0";
 const SUITE_EXT: &str = "tfs";
 /// Extension of the retired admission-digest files
 /// (`<fingerprint>.tfd`) older stores may still hold; nothing reads
@@ -339,15 +338,7 @@ impl Store {
     /// fail validation; [`StoreError::Io`] when staging or renaming
     /// fails.
     pub fn install_bytes(&self, fp: Fingerprint, bytes: &[u8]) -> Result<(), StoreError> {
-        // pid + nonce: concurrent installers of the same entry stage to
-        // disjoint files; every rename publishes identical content.
-        static NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let nonce = NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let staged = self.root.join(format!(
-            "tmp-install-{}-{}-{nonce}",
-            fp.hex(),
-            std::process::id()
-        ));
+        let staged = staging_path(&self.root, "install", fp);
         fs::write(&staged, bytes)?;
         let validated = (|| -> Result<EntryMeta, StoreError> {
             let mut reader = SuiteReader::open(&staged, Some(fp))?;
@@ -381,8 +372,9 @@ impl Store {
         Ok(fs::metadata(self.entry_path(fp))?.modified()?)
     }
 
-    /// Leftover `tmp-*` entries from crashed or in-flight runs: shard
-    /// directories and index staging files. `store gc` removes them;
+    /// Leftover `tmp-*` entries from crashed or in-flight runs: staged
+    /// seals and installs, index staging files, and the shard
+    /// directories older builds streamed into. `store gc` removes them;
     /// callers must ensure no synthesis is currently streaming into the
     /// store.
     ///
@@ -448,37 +440,34 @@ impl Store {
         Ok(count)
     }
 
-    /// Starts an in-progress entry: a temporary shard directory workers
-    /// stream into, sealed atomically by [`PendingSuite::seal`].
+    /// Starts an in-progress entry: an in-memory spool workers stream
+    /// shards into, sealed atomically by [`PendingSuite::seal`]. Nothing
+    /// touches the store directory until the seal.
     ///
     /// # Errors
     ///
-    /// Returns the underlying error when the directory cannot be
-    /// created.
+    /// None at present: nothing touches the disk until the seal.
     pub fn begin(&self, fp: Fingerprint, meta: EntryMeta) -> Result<PendingSuite, StoreError> {
-        // pid + per-process nonce: concurrent synthesis of the same key
-        // (two threads, two processes) stream into disjoint directories;
-        // the last seal wins the atomic rename with identical content.
-        static NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let nonce = NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = self
-            .root
-            .join(format!("tmp-{}-{}-{nonce}", fp.hex(), std::process::id()));
-        // A stale directory from a crashed run of this same pid/nonce is
-        // re-created fresh; shards would otherwise double-count.
-        if dir.exists() {
-            fs::remove_dir_all(&dir)?;
-        }
-        fs::create_dir_all(&dir)?;
         Ok(PendingSuite {
             root: self.root.clone(),
-            dir,
             fp,
             meta,
-            write_error: Mutex::new(None),
-            sealed: false,
+            shards: Mutex::new(Vec::new()),
         })
     }
+}
+
+/// A fresh `tmp-<what>-<fp>-<pid>-<nonce>` staging path under `root`.
+/// Concurrent writers of the same entry (two threads, two processes)
+/// stage to disjoint files; every rename publishes identical content.
+fn staging_path(root: &Path, what: &str, fp: Fingerprint) -> PathBuf {
+    static NONCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+    let nonce = NONCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    root.join(format!(
+        "tmp-{what}-{}-{}-{nonce}",
+        fp.hex(),
+        std::process::id()
+    ))
 }
 
 fn header_bytes(fp: Fingerprint, meta: &EntryMeta, stats: &SuiteStats, records: u64) -> Vec<u8> {
@@ -491,167 +480,81 @@ fn header_bytes(fp: Fingerprint, meta: &EntryMeta, stats: &SuiteStats, records: 
     e.into_bytes()
 }
 
-/// A merged shard set: per-shard counters plus the still-encoded
-/// record payloads, keyed and sorted by plan index.
-type MergedShards = (Vec<ShardStats>, Vec<(u64, Vec<u8>)>);
-
 /// An in-progress store entry: the [`SuiteSink`] parallel synthesis
-/// streams into, and the seal step that turns shard files into the
-/// canonical suite file.
+/// streams into, and the seal step that turns the spooled shards into
+/// the canonical suite file.
+///
+/// Shards are spooled in memory: a shard carries only its counters and
+/// its suite members, which are few (a suite, not the plan), and a
+/// sealed suite is read back whole anyway.
 pub struct PendingSuite {
     root: PathBuf,
-    dir: PathBuf,
     fp: Fingerprint,
     meta: EntryMeta,
-    /// The first shard-write failure, surfaced at seal time (the sink
-    /// trait has no error channel — workers must not panic).
-    write_error: Mutex<Option<String>>,
-    sealed: bool,
+    /// Every retired shard, in arrival order.
+    shards: Mutex<Vec<(ShardStats, Vec<SuiteRecord>)>>,
 }
 
 impl SuiteSink for PendingSuite {
     fn shard_done(&self, stats: ShardStats, records: Vec<SuiteRecord>) {
-        let mut e = Enc::new();
-        e.raw(SHARD_MAGIC);
-        e.u32(FORMAT_VERSION);
-        e.u64((self.fp.0 >> 64) as u64);
-        e.u64(self.fp.0 as u64);
-        for record in &records {
-            let payload = encode_record(record);
-            e.u8(1);
-            e.varint(record.index as u64);
-            e.size(payload.len());
-            let checksum = fnv1a64(&payload);
-            e.raw(&payload);
-            e.u64(checksum);
-        }
-        let mut stats_enc = Enc::new();
-        encode_shard_stats(&mut stats_enc, &stats);
-        let stats_payload = stats_enc.into_bytes();
-        e.u8(0);
-        e.size(stats_payload.len());
-        let checksum = fnv1a64(&stats_payload);
-        e.raw(&stats_payload);
-        e.u64(checksum);
-
-        let path = self.dir.join(format!("shard-{:04}.bin", stats.shard));
-        if let Err(err) = fs::write(&path, e.into_bytes()) {
-            let mut slot = self.write_error.lock().expect("error lock never poisoned");
-            slot.get_or_insert_with(|| format!("writing {}: {err}", path.display()));
-        }
+        self.shards
+            .lock()
+            .expect("spool lock is never poisoned")
+            .push((stats, records));
     }
 }
 
-impl PendingSuite {
-    /// Reads the streamed shard files back: per-shard counters and the
-    /// framed record payloads, still encoded, sorted by plan index.
-    fn merge(&self) -> Result<MergedShards, StoreError> {
-        if let Some(err) = self
-            .write_error
-            .lock()
-            .expect("error lock never poisoned")
-            .take()
-        {
-            return Err(StoreError::Io(std::io::Error::other(err)));
-        }
-        let mut shard_paths: Vec<PathBuf> = fs::read_dir(&self.dir)?
-            .map(|entry| entry.map(|e| e.path()))
-            .collect::<Result<_, _>>()?;
-        shard_paths.sort();
-        let mut shards = Vec::new();
-        let mut records: Vec<(u64, Vec<u8>)> = Vec::new();
-        for path in shard_paths {
-            let bytes = fs::read(&path)?;
-            let mut d = Dec::new(&bytes);
-            let magic = d.bytes(8).map_err(StoreError::from)?;
-            if magic != SHARD_MAGIC.as_slice() {
-                return Err(StoreError::Corrupt(format!(
-                    "{}: bad shard magic",
-                    path.display()
-                )));
-            }
-            let version = d.u32().map_err(StoreError::from)?;
-            if version != FORMAT_VERSION {
-                return Err(StoreError::Version { found: version });
-            }
-            let hi = d.u64().map_err(StoreError::from)?;
-            let lo = d.u64().map_err(StoreError::from)?;
-            if Fingerprint((u128::from(hi) << 64) | u128::from(lo)) != self.fp {
-                return Err(StoreError::Corrupt(format!(
-                    "{}: shard belongs to a different suite",
-                    path.display()
-                )));
-            }
-            loop {
-                match d.u8().map_err(StoreError::from)? {
-                    1 => {
-                        let index = d.varint().map_err(StoreError::from)?;
-                        let (payload, checksum) = read_framed(&mut d)?;
-                        if fnv1a64(&payload) != checksum {
-                            return Err(StoreError::Corrupt(format!(
-                                "{}: shard record checksum mismatch",
-                                path.display()
-                            )));
-                        }
-                        records.push((index, payload));
-                    }
-                    0 => {
-                        let (payload, checksum) = read_framed(&mut d)?;
-                        if fnv1a64(&payload) != checksum {
-                            return Err(StoreError::Corrupt(format!(
-                                "{}: shard stats checksum mismatch",
-                                path.display()
-                            )));
-                        }
-                        let mut sd = Dec::new(&payload);
-                        shards.push(codec::decode_shard_stats(&mut sd).map_err(StoreError::from)?);
-                        if !d.at_end() {
-                            return Err(StoreError::Corrupt(format!(
-                                "{}: bytes after shard trailer",
-                                path.display()
-                            )));
-                        }
-                        break;
-                    }
-                    t => {
-                        return Err(StoreError::Corrupt(format!(
-                            "{}: invalid shard frame tag {t}",
-                            path.display()
-                        )))
-                    }
-                }
-            }
-        }
-        shards.sort_by_key(|s| s.shard);
-        records.sort_by_key(|&(index, _)| index);
-        if records.windows(2).any(|w| w[0].0 == w[1].0) {
-            return Err(StoreError::Corrupt("duplicate plan index in shards".into()));
-        }
-        Ok((shards, records))
+/// Every spooled record, sorted by plan index.
+///
+/// # Errors
+///
+/// [`StoreError::Corrupt`] when two records carry the same plan index —
+/// shards that overlap cannot form one suite.
+fn merge(
+    shards: Mutex<Vec<(ShardStats, Vec<SuiteRecord>)>>,
+) -> Result<Vec<SuiteRecord>, StoreError> {
+    let mut records: Vec<SuiteRecord> = shards
+        .into_inner()
+        .expect("spool lock is never poisoned")
+        .into_iter()
+        .flat_map(|(_, records)| records)
+        .collect();
+    records.sort_by_key(|r| r.index);
+    if records.windows(2).any(|w| w[0].index == w[1].index) {
+        return Err(StoreError::Corrupt("duplicate plan index in shards".into()));
     }
+    Ok(records)
+}
 
-    /// Merges the shard files into the sealed canonical suite file and
-    /// atomically publishes it. `stats` are the run's counters, as
-    /// returned by [`transform_par::Run::stream`].
+impl PendingSuite {
+    /// Encodes the spooled records in plan-index order into the sealed
+    /// canonical suite file and atomically publishes it. `stats` are the
+    /// run's counters, as returned by [`transform_par::Run::stream`].
     ///
     /// Timed-out (partial) runs must never be sealed — a cache hit on a
     /// partial suite would silently drop members forever.
     ///
     /// # Errors
     ///
-    /// Surfaces shard-write failures, unreadable shard files, and final
-    /// write/rename failures.
+    /// [`StoreError::Corrupt`] on duplicate plan indices; write and
+    /// rename failures.
     ///
     /// # Panics
     ///
     /// Panics when `stats.timed_out` is set.
-    pub fn seal(mut self, stats: &SuiteStats) -> Result<Fingerprint, StoreError> {
+    pub fn seal(self, stats: &SuiteStats) -> Result<Fingerprint, StoreError> {
         assert!(!stats.timed_out, "refusing to seal a partial suite");
-        let (_, records) = self.merge()?;
+        let PendingSuite {
+            root,
+            fp,
+            meta,
+            shards,
+        } = self;
+        let records = merge(shards)?;
         let mut e = Enc::new();
         e.raw(SUITE_MAGIC);
         e.u32(FORMAT_VERSION);
-        let header = header_bytes(self.fp, &self.meta, stats, records.len() as u64);
+        let header = header_bytes(fp, &meta, stats, records.len() as u64);
         e.size(header.len());
         e.raw(&header);
         let mut checksum = Fnv64::new();
@@ -660,64 +563,47 @@ impl PendingSuite {
         checksum.update(&header);
         e.u64(checksum.finish());
         let mut trailer = Fnv64::new();
-        for (_, payload) in &records {
+        for record in &records {
+            let payload = encode_record(record);
             e.size(payload.len());
-            let record_checksum = fnv1a64(payload);
-            e.raw(payload);
+            let record_checksum = fnv1a64(&payload);
+            e.raw(&payload);
             e.u64(record_checksum);
             trailer.update(&record_checksum.to_le_bytes());
         }
         e.u64(trailer.finish());
 
-        let staged = self.dir.join("suite.tfs");
-        fs::write(&staged, e.into_bytes())?;
-        let target = self.root.join(format!("{}.{SUITE_EXT}", self.fp.hex()));
-        fs::rename(&staged, &target)?;
+        let staged = staging_path(&root, "seal", fp);
+        let published = fs::write(&staged, e.into_bytes())
+            .and_then(|()| fs::rename(&staged, root.join(format!("{}.{SUITE_EXT}", fp.hex()))));
+        if let Err(err) = published {
+            let _ = fs::remove_file(&staged);
+            return Err(err.into());
+        }
         // Fold the new entry into the store's advisory index (atomic
         // rewrite; best-effort — query/export fall back to scanning
         // headers when the index is missing or stale).
-        crate::index::update_on_seal(&self.root, self.fp, &self.meta);
-        self.sealed = true;
-        let fp = self.fp;
-        drop(self); // removes the temp directory
+        crate::index::update_on_seal(&root, fp, &meta);
         Ok(fp)
     }
 
-    /// Assembles the in-memory suite from the shard files *without*
+    /// Assembles the in-memory suite from the spooled shards *without*
     /// sealing — the path for timed-out (partial) runs, which are
-    /// returned to the caller but never persisted.
+    /// returned to the caller but never persisted. Members come out in
+    /// plan-index order.
     ///
     /// # Errors
     ///
-    /// Surfaces shard-write failures and undecodable shard files.
+    /// [`StoreError::Corrupt`] on duplicate plan indices.
     pub fn into_suite(self, stats: &SuiteStats) -> Result<Suite, StoreError> {
-        let (_, records) = self.merge()?;
-        let elts = records
-            .into_iter()
-            .map(|(_, payload)| decode_record(&payload).map(|r| r.elt))
-            .collect::<Result<Vec<_>, _>>()
-            .map_err(StoreError::from)?;
+        let PendingSuite { meta, shards, .. } = self;
+        let elts = merge(shards)?.into_iter().map(|r| r.elt).collect();
         Ok(Suite {
-            axiom: self.meta.axiom.clone(),
+            axiom: meta.axiom,
             elts,
             stats: stats.clone(),
         })
     }
-}
-
-impl Drop for PendingSuite {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.dir);
-    }
-}
-
-fn read_framed(d: &mut Dec<'_>) -> Result<(Vec<u8>, u64), StoreError> {
-    let len = d
-        .size_bounded(1 << 28, "frame payload")
-        .map_err(StoreError::from)?;
-    let payload = d.bytes(len).map_err(StoreError::from)?.to_vec();
-    let checksum = d.u64().map_err(StoreError::from)?;
-    Ok((payload, checksum))
 }
 
 fn read_exact_or_corrupt(r: &mut impl Read, buf: &mut [u8], what: &str) -> Result<(), StoreError> {

@@ -14,8 +14,8 @@
 //!    publishing), then served from there — so the next lookup is a
 //!    local hit, and corrupt remote bytes can never be served.
 //! 3. **Synthesis** — every axiom missing everywhere joins one fused
-//!    streamed run; each suite is sealed locally the moment its axiom
-//!    finishes, and the sealed bytes are *pushed* to the remote tier
+//!    streamed run; each suite is sealed locally from the pool when the
+//!    run's last chunk retires, and the sealed bytes are *pushed* to the remote tier
 //!    (best-effort), turning this run's work into a shared asset.
 //!    Sealing and pushing are gated on
 //!    [`transform_par::SuiteSink::run_done`] reporting a completed
@@ -209,9 +209,9 @@ impl TieredCache {
     /// looked up locally, then remotely (read-through: a remote hit is
     /// validated into the local tier and served from there), and all
     /// the misses are synthesized together in one fused streamed run —
-    /// the program space is enumerated once and each missing axiom's
-    /// suite is sealed (and pushed to the remote, best-effort) *as that
-    /// axiom finishes*, not when the whole run drains. A timed-out
+    /// the program space is enumerated and examined once, and each
+    /// missing axiom's suite is sealed (and pushed to the remote,
+    /// best-effort) from the pool as the last chunk retires. A timed-out
     /// axiom is served from its partial run and never sealed
     /// ([`CacheStatus::Uncached`]).
     ///
@@ -267,8 +267,9 @@ impl TieredCache {
             return Ok(out);
         }
 
-        // One fused run for every miss: enumerate once, examine per axiom,
-        // seal each suite from inside the pool as its axiom finishes.
+        // One fused run for every miss: enumerate and examine once for
+        // every axiom, seal each suite from inside the pool when the last
+        // chunk retires.
         let miss_axioms: Vec<&str> = misses.iter().map(|&(a, _, _)| a).collect();
         let gates: Vec<SealOnDone<'_>> = misses
             .iter()
@@ -367,12 +368,11 @@ fn lookup_tiers(
     Ok(Lookup::Absent(status))
 }
 
-/// The per-axiom [`SuiteSink`] of a fused cached run: streams shards
-/// into the axiom's pending store entry and, the moment the axiom's
+/// The per-axiom [`SuiteSink`] of a fused cached run: spools shards
+/// into the axiom's pending store entry and, the moment the run's
 /// schedule retires ([`SuiteSink::run_done`] with a completed run),
 /// seals the entry and pushes the sealed bytes to the remote tier
-/// (best-effort) — while other axioms of the same run are still
-/// examining.
+/// (best-effort).
 struct SealOnDone<'a> {
     local: &'a Store,
     remote: Option<&'a dyn CacheTier>,

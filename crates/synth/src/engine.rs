@@ -13,9 +13,9 @@
 //!
 //! 1. [`plan_suite`] — enumerate programs, keep the write-bearing first
 //!    occurrence of each canonical key, in enumeration order;
-//! 2. [`Examiner::examine`] — per program, generate candidate executions
-//!    (explicit or relational backend), count, and pick a deterministic
-//!    minimal forbidden witness;
+//! 2. [`Examiner::examine_chunk`] — per program, generate candidate
+//!    executions (explicit or relational backend), then count and pick
+//!    a deterministic minimal forbidden witness for every axiom;
 //! 3. [`assemble_suite`] — stitch per-program results back together in
 //!    plan order with losslessly aggregated per-shard counters.
 //!
@@ -315,8 +315,8 @@ pub fn plan_from_keyed(
     }
 }
 
-/// The outcome of examining one work item.
-#[derive(Clone, Debug)]
+/// The outcome of examining one work item for one axiom.
+#[derive(Clone, Debug, Default)]
 pub struct Examined {
     /// Candidate executions examined.
     pub executions: usize,
@@ -330,17 +330,24 @@ pub struct Examined {
 }
 
 /// Phase 2 of the pipeline: per-program candidate generation and
-/// spanning-set filtering.
+/// spanning-set filtering, for one axiom or several at once.
 ///
-/// One `Examiner` serves one shard. With the relational backend it owns a
-/// [`satgen::ShardGen`], so every program it examines shares a single
-/// incremental SAT solver.
+/// Candidate generation, analysis, evaluation and the minimality check
+/// do not depend on the axiom under synthesis (Fig. 7 of the paper:
+/// only the final violation filter is per-axiom), so one examiner
+/// serves every axiom of a run and does that work once per program.
+///
+/// One `Examiner` serves one shard. With the relational backend it owns
+/// one [`satgen::ShardGen`] per axiom — the SAT query itself names the
+/// violated axiom — so every program it examines for that axiom shares
+/// a single incremental SAT solver.
 pub struct Examiner<'m> {
     mtm: &'m Mtm,
-    axiom: &'m str,
+    axioms: Vec<&'m str>,
     backend: Backend,
     branch_co_pa: bool,
-    shard_gen: Option<satgen::ShardGen>,
+    /// One incremental generator per axiom (relational backend only).
+    shard_gens: Vec<satgen::ShardGen>,
     /// SAT counters from solvers already retired by the periodic refresh,
     /// so [`Examiner::solver_stats`] stays cumulative.
     retired_solver_stats: tsat::SolverStats,
@@ -356,25 +363,61 @@ pub struct Examiner<'m> {
 const SOLVER_REFRESH_EVERY: usize = 64;
 
 impl<'m> Examiner<'m> {
-    /// Creates an examiner for one shard of a run.
+    /// Creates a one-axiom examiner for one shard of a run.
     pub fn new(mtm: &'m Mtm, axiom: &'m str, backend: Backend, branch_co_pa: bool) -> Examiner<'m> {
+        Examiner::for_axioms(mtm, &[axiom], backend, branch_co_pa)
+    }
+
+    /// Creates an examiner for one shard of a run that covers `axioms`.
+    pub fn for_axioms(
+        mtm: &'m Mtm,
+        axioms: &[&'m str],
+        backend: Backend,
+        branch_co_pa: bool,
+    ) -> Examiner<'m> {
+        let shard_gens = match backend {
+            Backend::Explicit => Vec::new(),
+            Backend::Relational => axioms.iter().map(|_| satgen::ShardGen::new()).collect(),
+        };
         Examiner {
             mtm,
-            axiom,
+            axioms: axioms.to_vec(),
             backend,
             branch_co_pa,
-            shard_gen: match backend {
-                Backend::Explicit => None,
-                Backend::Relational => Some(satgen::ShardGen::new()),
-            },
+            shard_gens,
             retired_solver_stats: tsat::SolverStats::default(),
         }
     }
 
-    /// Examines one program: generates its candidate executions, counts
-    /// them up to (and including) the first minimal forbidden one in
-    /// canonical order, and takes that execution — the canonically least
-    /// minimal witness — as the program's witness.
+    /// Examines one program for the examiner's single axiom — the
+    /// one-axiom, one-program form of [`Examiner::examine_chunk`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when the examiner covers no axiom.
+    pub fn examine(&mut self, program: &Program) -> Examined {
+        self.examine_chunk(&[program], || false)
+            .into_iter()
+            .next()
+            .and_then(|results| results.into_iter().next())
+            .expect("the examiner covers an axiom")
+    }
+
+    /// Examines a chunk of programs for every axiom. Returns, per axiom
+    /// in the examiner's axiom order, one [`Examined`] per program of
+    /// the chunk's examined prefix. For each axiom and program the
+    /// candidate executions are counted up to (and including) the first
+    /// minimal forbidden one in canonical order, and that execution —
+    /// the canonically least minimal witness — is the axiom's witness.
+    ///
+    /// `stop` is polled before each unit of work; once it returns
+    /// `true` the chunk ends early and the axioms' results cover only
+    /// what was examined (possibly less for later axioms).
+    ///
+    /// The explicit backend generates, analyzes and evaluates each
+    /// program's candidates once for all axioms. The relational backend
+    /// shares only the skeleton: its SAT query names the axiom, so it
+    /// walks the chunk axiom by axiom, keeping each axiom's solver hot.
     ///
     /// Candidates are put in a canonical order before examination, so the
     /// result does not depend on backend generation order — in
@@ -383,64 +426,109 @@ impl<'m> Examiner<'m> {
     /// shard partition reproduce the sequential suite byte for byte, and
     /// it makes the early break at the witness safe: the counters are a
     /// pure per-program function either way.
-    pub fn examine(&mut self, program: &Program) -> Examined {
-        let skeleton = program.to_skeleton();
-        let mut candidates: Vec<Execution> = match self.backend {
-            Backend::Explicit => execs::executions(&skeleton, self.branch_co_pa),
-            Backend::Relational => {
-                let shard_gen = self
-                    .shard_gen
-                    .as_mut()
-                    .expect("relational examiner owns a shard generator");
-                if shard_gen.problems_solved() >= SOLVER_REFRESH_EVERY {
-                    self.retired_solver_stats.absorb(&shard_gen.solver_stats());
-                    *shard_gen = satgen::ShardGen::new();
+    pub fn examine_chunk(
+        &mut self,
+        programs: &[&Program],
+        mut stop: impl FnMut() -> bool,
+    ) -> Vec<Vec<Examined>> {
+        let mut out: Vec<Vec<Examined>> = self.axioms.iter().map(|_| Vec::new()).collect();
+        match self.backend {
+            Backend::Explicit => {
+                for program in programs {
+                    if stop() {
+                        break;
+                    }
+                    let candidates = execs::executions(&program.to_skeleton(), self.branch_co_pa);
+                    let results = scan(self.mtm, &self.axioms, canonical_order(candidates));
+                    for (axiom_results, result) in out.iter_mut().zip(results) {
+                        axiom_results.push(result);
+                    }
                 }
-                shard_gen.violating_executions(
-                    &skeleton,
-                    self.mtm,
-                    self.axiom,
-                    self.branch_co_pa,
-                    usize::MAX,
-                )
             }
-        };
-        candidates.sort_by_cached_key(candidate_order_key);
-        let mut out = Examined {
-            executions: 0,
-            forbidden: 0,
-            minimal: 0,
-            witness: None,
-        };
-        for x in candidates {
-            out.executions += 1;
-            let Ok(analysis) = x.analyze() else { continue };
-            let verdict = self.mtm.evaluate(&analysis);
-            // Spanning-set criterion 2: the outcome violates the axiom
-            // under synthesis.
-            if !verdict.violates(self.axiom) {
-                continue;
+            Backend::Relational => {
+                let skeletons: Vec<Execution> = programs.iter().map(|p| p.to_skeleton()).collect();
+                'axioms: for ((&axiom, shard_gen), axiom_results) in
+                    self.axioms.iter().zip(&mut self.shard_gens).zip(&mut out)
+                {
+                    for skeleton in &skeletons {
+                        if stop() {
+                            break 'axioms;
+                        }
+                        if shard_gen.problems_solved() >= SOLVER_REFRESH_EVERY {
+                            self.retired_solver_stats.absorb(&shard_gen.solver_stats());
+                            *shard_gen = satgen::ShardGen::new();
+                        }
+                        let candidates = shard_gen.violating_executions(
+                            skeleton,
+                            self.mtm,
+                            axiom,
+                            self.branch_co_pa,
+                            usize::MAX,
+                        );
+                        axiom_results.extend(scan(self.mtm, &[axiom], canonical_order(candidates)));
+                    }
+                }
             }
-            out.forbidden += 1;
-            if !is_minimal(&x, self.mtm) {
-                continue;
-            }
-            out.minimal += 1;
-            out.witness = Some((x, verdict.violated));
-            break;
         }
         out
     }
 
-    /// SAT statistics of the shard's incremental solver (relational
-    /// backend only).
+    /// SAT statistics of the shard's incremental solvers, summed over
+    /// axioms (relational backend only).
     pub fn solver_stats(&self) -> Option<tsat::SolverStats> {
-        self.shard_gen.as_ref().map(|shard_gen| {
+        (self.backend == Backend::Relational).then(|| {
             let mut stats = self.retired_solver_stats;
-            stats.absorb(&shard_gen.solver_stats());
+            for shard_gen in &self.shard_gens {
+                stats.absorb(&shard_gen.solver_stats());
+            }
             stats
         })
     }
+}
+
+/// Sorts one skeleton's candidates into the canonical examination order.
+fn canonical_order(mut candidates: Vec<Execution>) -> Vec<Execution> {
+    candidates.sort_by_cached_key(candidate_order_key);
+    candidates
+}
+
+/// Walks canonically ordered candidates once for every axiom. Each
+/// candidate is analyzed and evaluated once, and checked for minimality
+/// at most once (minimality does not depend on the axiom). Every axiom
+/// still without a witness counts the candidate as an execution, counts
+/// it as forbidden when the verdict violates the axiom, and takes the
+/// first minimal forbidden candidate as its witness — so each axiom's
+/// counters are exactly those of a scan that stops at its own witness.
+/// The walk ends once every axiom has its witness.
+fn scan(mtm: &Mtm, axioms: &[&str], candidates: Vec<Execution>) -> Vec<Examined> {
+    let mut out: Vec<Examined> = axioms.iter().map(|_| Examined::default()).collect();
+    let mut open = axioms.len();
+    for x in candidates {
+        if open == 0 {
+            break;
+        }
+        for examined in out.iter_mut().filter(|e| e.witness.is_none()) {
+            examined.executions += 1;
+        }
+        let Ok(analysis) = x.analyze() else { continue };
+        let verdict = mtm.evaluate(&analysis);
+        let mut minimal = None;
+        for (examined, &axiom) in out.iter_mut().zip(axioms) {
+            // Spanning-set criterion 2: the outcome violates the axiom
+            // under synthesis.
+            if examined.witness.is_some() || !verdict.violates(axiom) {
+                continue;
+            }
+            examined.forbidden += 1;
+            if !*minimal.get_or_insert_with(|| is_minimal(&x, mtm)) {
+                continue;
+            }
+            examined.minimal += 1;
+            examined.witness = Some((x.clone(), verdict.violated.clone()));
+            open -= 1;
+        }
+    }
+    out
 }
 
 /// A total, deterministic order on candidate executions of one skeleton:
@@ -576,6 +664,7 @@ mod tests {
     use super::*;
     use transform_core::spec::parse_mtm;
 
+    /// The five axioms of `x86t_elt` (`transform-x86`), in its order.
     fn x86t_elt_like() -> Mtm {
         parse_mtm(
             "mtm x86t_elt {
@@ -646,6 +735,165 @@ mod tests {
         opts.timeout = Some(Duration::from_millis(0));
         let suite = synthesize_suite(&mtm, "sc_per_loc", &opts);
         assert!(suite.stats.timed_out);
+    }
+
+    /// The single-axiom examination as it stood before examination was
+    /// shared across axioms, kept verbatim as an independent oracle:
+    /// it generates, analyzes and checks minimality per axiom.
+    struct UnsharedExaminer<'m> {
+        mtm: &'m Mtm,
+        axiom: &'m str,
+        backend: Backend,
+        branch_co_pa: bool,
+        shard_gen: Option<satgen::ShardGen>,
+    }
+
+    impl<'m> UnsharedExaminer<'m> {
+        fn new(mtm: &'m Mtm, axiom: &'m str, backend: Backend, branch_co_pa: bool) -> Self {
+            UnsharedExaminer {
+                mtm,
+                axiom,
+                backend,
+                branch_co_pa,
+                shard_gen: match backend {
+                    Backend::Explicit => None,
+                    Backend::Relational => Some(satgen::ShardGen::new()),
+                },
+            }
+        }
+
+        fn examine(&mut self, program: &Program) -> Examined {
+            let skeleton = program.to_skeleton();
+            let mut candidates: Vec<Execution> = match self.backend {
+                Backend::Explicit => execs::executions(&skeleton, self.branch_co_pa),
+                Backend::Relational => {
+                    let shard_gen = self
+                        .shard_gen
+                        .as_mut()
+                        .expect("relational examiner owns a shard generator");
+                    if shard_gen.problems_solved() >= SOLVER_REFRESH_EVERY {
+                        *shard_gen = satgen::ShardGen::new();
+                    }
+                    shard_gen.violating_executions(
+                        &skeleton,
+                        self.mtm,
+                        self.axiom,
+                        self.branch_co_pa,
+                        usize::MAX,
+                    )
+                }
+            };
+            candidates.sort_by_cached_key(candidate_order_key);
+            let mut out = Examined {
+                executions: 0,
+                forbidden: 0,
+                minimal: 0,
+                witness: None,
+            };
+            for x in candidates {
+                out.executions += 1;
+                let Ok(analysis) = x.analyze() else { continue };
+                let verdict = self.mtm.evaluate(&analysis);
+                if !verdict.violates(self.axiom) {
+                    continue;
+                }
+                out.forbidden += 1;
+                if !is_minimal(&x, self.mtm) {
+                    continue;
+                }
+                out.minimal += 1;
+                out.witness = Some((x, verdict.violated));
+                break;
+            }
+            out
+        }
+    }
+
+    /// Every plan item of `opts`, examined once for all axioms of `mtm`
+    /// and once per axiom by the unshared oracle, gets identical
+    /// counters, witnesses and violated-axiom lists.
+    fn assert_shared_matches_unshared(mtm: &Mtm, opts: &SynthOptions, branch_co_pa: bool) {
+        let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
+        let plan = plan_suite(mtm, axioms[0], opts, None);
+        let mut shared = Examiner::for_axioms(mtm, &axioms, opts.backend, branch_co_pa);
+        let mut oracles: Vec<UnsharedExaminer<'_>> = axioms
+            .iter()
+            .map(|&axiom| UnsharedExaminer::new(mtm, axiom, opts.backend, branch_co_pa))
+            .collect();
+        let bound = opts.enumeration.bound;
+        let programs: Vec<&Program> = plan.items.iter().map(|item| &item.program).collect();
+        let results = shared.examine_chunk(&programs, || false);
+        assert_eq!(results.len(), axioms.len());
+        for ((axiom_results, oracle), axiom) in results.iter().zip(&mut oracles).zip(&axioms) {
+            assert_eq!(axiom_results.len(), plan.items.len(), "{axiom}");
+            for (got, item) in axiom_results.iter().zip(&plan.items) {
+                let want = oracle.examine(&item.program);
+                let at = format!(
+                    "bound {bound}, co_pa {branch_co_pa}, item {}, {axiom}",
+                    item.index
+                );
+                assert_eq!(got.executions, want.executions, "{at}");
+                assert_eq!(got.forbidden, want.forbidden, "{at}");
+                assert_eq!(got.minimal, want.minimal, "{at}");
+                assert_eq!(got.witness, want.witness, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn shared_examination_matches_the_unshared_oracle() {
+        let mtm = x86t_elt_like();
+        for bound in 1..=5 {
+            let mut opts = SynthOptions::new(bound);
+            opts.enumeration.allow_fences = true;
+            opts.enumeration.allow_rmw = true;
+            for branch_co_pa in [false, true] {
+                assert_shared_matches_unshared(&mtm, &opts, branch_co_pa);
+            }
+        }
+    }
+
+    #[test]
+    fn shared_relational_examination_matches_the_unshared_oracle() {
+        let mtm = x86t_elt_like();
+        for bound in 1..=4 {
+            let mut opts = SynthOptions::new(bound);
+            opts.enumeration.allow_fences = true;
+            opts.enumeration.allow_rmw = true;
+            opts.backend = Backend::Relational;
+            for branch_co_pa in [false, true] {
+                assert_shared_matches_unshared(&mtm, &opts, branch_co_pa);
+            }
+        }
+    }
+
+    /// A chunk cut short examines a prefix: the explicit backend stops
+    /// every axiom at the same program, the relational backend (which
+    /// walks the chunk axiom by axiom) stops inside the axiom it was
+    /// examining and leaves later axioms empty.
+    #[test]
+    fn a_stopped_chunk_returns_the_examined_prefix() {
+        let mtm = x86t_elt_like();
+        let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
+        let opts = SynthOptions::new(4);
+        let plan = plan_suite(&mtm, axioms[0], &opts, None);
+        let programs: Vec<&Program> = plan.items.iter().map(|i| &i.program).collect();
+        assert!(programs.len() > 3);
+        let stop_after = |n: usize| {
+            let mut polls = 0;
+            move || {
+                polls += 1;
+                polls > n
+            }
+        };
+        let explicit = Examiner::for_axioms(&mtm, &axioms, Backend::Explicit, false)
+            .examine_chunk(&programs, stop_after(3));
+        assert!(explicit.iter().all(|r| r.len() == 3));
+        let relational = Examiner::for_axioms(&mtm, &axioms, Backend::Relational, false)
+            .examine_chunk(&programs, stop_after(programs.len() + 2));
+        let lens: Vec<usize> = relational.iter().map(Vec::len).collect();
+        assert_eq!(lens[..2], [programs.len(), 2]);
+        assert!(lens[2..].iter().all(|&n| n == 0), "{lens:?}");
     }
 
     #[test]

@@ -735,6 +735,9 @@ pub struct EnumSpace {
     opts: EnumOptions,
     max_threads: usize,
     partitions: Vec<Partition>,
+    /// Estimated mass of every partition, by ordinal, from the one
+    /// [`MassTable`] built with the space.
+    masses: Vec<u64>,
 }
 
 /// One node of the shape-combination recursion, as a work unit.
@@ -823,11 +826,17 @@ impl EnumSpace {
             let expansion = expand_partition(&node, &shapes, opts.bound, max_threads);
             partitions.splice(at..=at, expansion);
         }
+        let table = MassTable::new(&shapes, opts.bound, max_threads);
+        let masses = partitions
+            .iter()
+            .map(|p| table.partition_mass(&shapes, max_threads, p))
+            .collect();
         EnumSpace {
             shapes,
             opts: opts.clone(),
             max_threads,
             partitions,
+            masses,
         }
     }
 
@@ -902,26 +911,23 @@ impl EnumSpace {
             opts: opts.clone(),
             max_threads,
             partitions,
+            masses,
         }
     }
 
     /// The estimated mass of every partition, in ordinal order: the
     /// exact shape-combination node count each work unit covers
-    /// (diagnostics and progress reporting — splitting itself reuses the
-    /// same table).
-    pub fn masses(&self) -> Vec<u64> {
-        let table = MassTable::new(&self.shapes, self.opts.bound, self.max_threads);
-        self.partitions
-            .iter()
-            .map(|p| table.partition_mass(&self.shapes, self.max_threads, p))
-            .collect()
+    /// (diagnostics and progress reporting). Computed once, from the
+    /// table that built the space.
+    pub fn masses(&self) -> &[u64] {
+        &self.masses
     }
 
     /// Total estimated mass of the space: the sum of
     /// [`EnumSpace::masses`] — the denominator of mass-based progress
     /// reporting ([`mass_eta`]).
     pub fn total_mass(&self) -> u64 {
-        self.masses().iter().fold(0u64, |a, &m| a.saturating_add(m))
+        self.masses.iter().fold(0u64, |a, &m| a.saturating_add(m))
     }
 
     /// The enumeration options the space was built for.
@@ -1553,6 +1559,31 @@ mod tests {
         }
     }
 
+    /// The masses a space keeps from construction are the ones a fresh
+    /// table computes for its partitions, whichever constructor split it.
+    #[test]
+    fn stored_masses_equal_a_fresh_mass_table() {
+        for bound in 1usize..=5 {
+            let mut opts = EnumOptions::new(bound);
+            opts.allow_fences = true;
+            opts.allow_rmw = true;
+            for space in [
+                EnumSpace::new(&opts),
+                EnumSpace::with_target_partitions(&opts, 32),
+                EnumSpace::balanced_for_target(&opts, 16),
+                EnumSpace::balanced(&opts, 7),
+            ] {
+                let table = MassTable::new(&space.shapes, bound, space.max_threads);
+                let fresh: Vec<u64> = space
+                    .partitions
+                    .iter()
+                    .map(|p| table.partition_mass(&space.shapes, space.max_threads, p))
+                    .collect();
+                assert_eq!(space.masses(), fresh.as_slice(), "bound {bound}");
+            }
+        }
+    }
+
     #[test]
     fn balanced_stream_matches_eager_enumeration_at_any_mass_target() {
         for bound in [3usize, 4] {
@@ -1613,8 +1644,8 @@ mod tests {
         let target = 64;
         let depth = EnumSpace::with_target_partitions(&opts, target);
         let mass = EnumSpace::balanced_for_target(&opts, target);
-        let max_depth = depth.masses().into_iter().max().unwrap_or(0);
-        let max_mass = mass.masses().into_iter().max().unwrap_or(0);
+        let max_depth = depth.masses().iter().copied().max().unwrap_or(0);
+        let max_mass = mass.masses().iter().copied().max().unwrap_or(0);
         assert!(
             max_mass <= max_depth,
             "mass split's heaviest partition ({max_mass}) exceeds depth split's ({max_depth})"

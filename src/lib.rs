@@ -24,8 +24,9 @@
 //!   sharded enumeration over worker threads with work stealing and
 //!   deterministic merging, byte-identical to the sequential engine.
 //! * [`store`] — the persistent content-addressed suite store: a
-//!   versioned binary codec, shard-streaming writes, checksum-validated
-//!   streaming reads, and the warm/cold cache policy.
+//!   versioned binary codec, an in-memory shard spool sealed
+//!   atomically, checksum-validated streaming reads, and the cache
+//!   policy.
 //! * [`relational`] — a Kodkod-style bounded relational model finder,
 //!   with incremental shared-solver sessions.
 //! * [`tsat`] — the CDCL SAT solver underneath it, solving under

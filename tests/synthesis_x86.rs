@@ -115,6 +115,35 @@ fn relational_backend_agrees_at_bound_4() {
     }
 }
 
+/// The fused pipeline's all-axiom listing at bound 5 (`--fences
+/// --rmw`, two workers) is byte-identical on the explicit and
+/// relational backends: every axiom's members, witnesses and their
+/// rendering agree.
+#[test]
+fn relational_backend_listing_matches_explicit_at_bound_5() {
+    use transform::litmus::format::print_elt;
+    use transform::par::Run;
+    use transform::synth::Backend;
+    let mtm = x86t_elt();
+    let axioms: Vec<&str> = mtm.axioms().iter().map(|a| a.name.as_str()).collect();
+    let listing = |backend: Backend| {
+        let mut o = SynthOptions::new(5);
+        o.backend = backend;
+        let suites = Run::new(&mtm, &axioms, &o, 2).collect();
+        let mut out = String::new();
+        for axiom in &axioms {
+            for (i, elt) in suites[*axiom].elts.iter().enumerate() {
+                out.push_str(&print_elt(&format!("{axiom}_{i}"), &elt.witness));
+                out.push('\n');
+            }
+        }
+        out
+    };
+    let explicit = listing(Backend::Explicit);
+    assert!(!explicit.is_empty());
+    assert_eq!(explicit, listing(Backend::Relational));
+}
+
 #[test]
 fn rmw_atomicity_has_a_seven_event_minimal_test() {
     // Our cost model needs 7 events for a minimal rmw_atomicity violation
