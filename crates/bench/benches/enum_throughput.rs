@@ -55,11 +55,7 @@ fn bench_enumeration(c: &mut Criterion) {
         b.iter(|| transform_synth::programs::programs(&o.enumeration).len())
     });
     group.bench_function("streamed/bound5", |b| {
-        b.iter(|| {
-            EnumSpace::with_target_partitions(&o.enumeration, jobs() * 8)
-                .stream()
-                .count()
-        })
+        b.iter(|| EnumSpace::new(&o.enumeration).stream().count())
     });
     group.finish();
 }
@@ -97,9 +93,7 @@ fn measure(bound: usize) -> Point {
     let enum_eager = start.elapsed();
 
     let start = Instant::now();
-    let streamed_count = EnumSpace::with_target_partitions(&o.enumeration, jobs * 8)
-        .stream()
-        .count();
+    let streamed_count = EnumSpace::new(&o.enumeration).stream().count();
     let enum_streamed = start.elapsed();
     assert_eq!(enumerated, streamed_count, "stream diverged from eager");
 

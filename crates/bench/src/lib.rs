@@ -7,8 +7,10 @@
 //!   timeout.
 //! * `comparison` binary — the §VI-B comparison against the reconstructed
 //!   COATCheck suite, plus the §V-A per-axiom attribution.
-//! * Criterion benches (`fig9a_counts`, `fig9b_runtime`, `comparison`,
-//!   `ablations`) measure the same pipelines.
+//! * `rmw7` binary — the bound-7 `rmw_atomicity` point.
+//! * Criterion benches: `validation` (running ELTs on the operational
+//!   machine), `parallel_speedup`, `cache_speedup`, `enum_throughput`
+//!   and `remote_cache`.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;

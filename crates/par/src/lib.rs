@@ -15,21 +15,22 @@
 //! [`transform_synth::engine`]); this crate fuses the first two into one
 //! streaming pool:
 //!
-//! 1. **Plan ∥ Examine** — the program space is split by *skeleton
-//!    prefix* into independently enumerable partitions
-//!    ([`transform_synth::programs::EnumSpace`]); partitions are pool
-//!    tasks alongside examine batches, so workers generate, canonically
-//!    key, and examine programs concurrently ([`stream`]). Partitions
-//!    are *admitted* strictly in ordinal order through a dedup frontier
-//!    — the same first-occurrence scan the sequential planner runs — so
-//!    plan indices never depend on scheduling. Each examine batch runs
-//!    on one multi-axiom [`transform_synth::Examiner`]; with the
+//! 1. **Plan ∥ Examine** — the program space is split by *root shape*
+//!    (the first thread's shape) into independently enumerable
+//!    partitions ([`transform_synth::programs::EnumSpace`]); partitions
+//!    are pool tasks alongside examine batches, so workers generate,
+//!    canonically key, and examine programs concurrently ([`stream`]).
+//!    Partitions are *admitted* strictly in ordinal order through a
+//!    dedup frontier — the same first-occurrence scan the sequential
+//!    planner runs — so plan indices never depend on scheduling. Each
+//!    examine batch runs on one multi-axiom
+//!    [`transform_synth::Examiner`]; with the
 //!    [`SynthBackend::Relational`] backend that examiner owns one
 //!    incremental SAT solver per axiom (`tsat` solving under
 //!    assumptions) serving every program in the batch, and batch
-//!    granularity autotunes to the observed examination rate. Workers claim emitted ELT keys in a
-//!    concurrent streaming dedup set ([`dedup::KeySet`]) as results
-//!    stream in.
+//!    granularity autotunes to the observed examination rate. Workers
+//!    claim emitted ELT keys in a concurrent streaming dedup set
+//!    ([`dedup::KeySet`]) as results stream in.
 //! 2. **Merge** — per-item results are re-ordered by plan index and
 //!    stitched into the suite; per-batch counters are kept and summed
 //!    losslessly.
@@ -40,11 +41,10 @@
 //! batch, examined once per program for every axiom — no shared plan is
 //! materialized before workers start, and every axiom's
 //! [`SuiteSink::run_done`] fires when the last chunk retires (the
-//! per-axiom seal + push-on-seal hook). Partition splitting is
-//! *mass-balanced*: the exact shape-combination node count below every
-//! prefix is memoized ([`EnumSpace::balanced_for_target`]), so work
-//! units carry comparable enumeration work instead of whatever a
-//! fixed-depth split happens to produce.
+//! per-axiom seal + push-on-seal hook). There is one partition per root
+//! shape and no finer split; each partition's mass — the exact
+//! shape-combination node count of its subtree — drives progress and
+//! the ETA ([`EnumSpace::masses`]).
 //!
 //! Determinism holds because every per-item examination is a pure
 //! function of the item: candidate executions are examined in a canonical
@@ -88,21 +88,16 @@ pub use progress::{
 };
 pub use stream::StreamMetrics;
 
-/// Enumeration partitions per worker: fine enough that the dedup
-/// frontier rarely stalls on one straggler partition, coarse enough
-/// that per-partition overhead stays negligible.
-const PARTITIONS_PER_WORKER: usize = 8;
-
 /// The machine's available parallelism (the `--jobs` default).
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// Builds the enumeration space for a `jobs`-worker run: mass-balanced
-/// splitting aims at `jobs × PARTITIONS_PER_WORKER` partitions, sizing
-/// each by its exact shape-combination node count.
-pub fn space_for(opts: &SynthOptions, jobs: usize) -> EnumSpace {
-    EnumSpace::balanced_for_target(&opts.enumeration, jobs * PARTITIONS_PER_WORKER)
+/// The enumeration space of a run: [`EnumSpace::new`]; `jobs` is
+/// ignored. It exists only for eltbench's traced replay, which calls
+/// it; the pipeline calls [`EnumSpace::new`] directly.
+pub fn space_for(opts: &SynthOptions, _jobs: usize) -> EnumSpace {
+    EnumSpace::new(&opts.enumeration)
 }
 
 /// Receives a suite's members as parallel shards finish, instead of the

@@ -32,8 +32,8 @@
 //! strictly in ordinal order through the admitter — the same
 //! first-occurrence-per-canonical-key scan the sequential planner runs —
 //! so plan indices, dedup outcomes, and therefore every per-axiom suite
-//! are byte-identical to the sequential engine at every worker count,
-//! batch size, and partition split.
+//! are byte-identical to the sequential engine at every worker count
+//! and batch size.
 //!
 //! # Deadlines
 //!
@@ -130,7 +130,6 @@ impl StreamMetrics {
 /// the scan [`transform_synth::plan_from_keyed`] runs over the eager
 /// enumeration, so admitted items carry the sequential plan's indices.
 pub(crate) struct Admitter {
-    symmetry: bool,
     seen: BTreeSet<Vec<u64>>,
     /// Programs admitted so far (the post-symmetry-reduction enumeration
     /// count — [`SuiteStats::programs`]).
@@ -139,9 +138,8 @@ pub(crate) struct Admitter {
 }
 
 impl Admitter {
-    pub fn new(symmetry: bool) -> Admitter {
+    pub fn new() -> Admitter {
         Admitter {
-            symmetry,
             seen: BTreeSet::new(),
             programs: 0,
             next_index: 0,
@@ -153,30 +151,14 @@ impl Admitter {
     pub fn admit(&mut self, keyed: Vec<KeyedProgram>) -> Vec<WorkItem> {
         let mut items = Vec::new();
         for kp in keyed {
-            if self.symmetry {
-                // Enumeration-level symmetry reduction across partitions:
-                // a later occurrence of a key is not even counted.
-                let key = kp.key.expect("symmetry reduction keys every program");
-                if !self.seen.insert(key.clone()) {
-                    continue;
-                }
-                self.programs += 1;
-                if kp.has_write {
-                    items.push(WorkItem {
-                        index: self.next_index,
-                        program: kp.program,
-                        key,
-                    });
-                    self.next_index += 1;
-                }
-            } else {
-                // No symmetry reduction: every program counts, but the
-                // plan still keeps one item per canonical key.
-                self.programs += 1;
-                let Some(key) = kp.key else { continue };
-                if !self.seen.insert(key.clone()) {
-                    continue;
-                }
+            // Symmetry reduction across partitions: a later occurrence
+            // of a key is not even counted.
+            let key = kp.key.expect("enumeration keys every program");
+            if !self.seen.insert(key.clone()) {
+                continue;
+            }
+            self.programs += 1;
+            if kp.has_write {
                 items.push(WorkItem {
                     index: self.next_index,
                     program: kp.program,
@@ -436,7 +418,7 @@ impl<'s> Pipeline<'s> {
                 frontier: 0,
                 cut_at: None,
                 expired: false,
-                admitter: Admitter::new(space.options().symmetry_reduction),
+                admitter: Admitter::new(),
                 exam: VecDeque::new(),
                 next_shard: 0,
                 batches: 0,
@@ -861,7 +843,7 @@ pub(crate) fn run_fused(
     let jobs = run.jobs.max(1);
     let start = Instant::now();
     let deadline = opts.timeout.map(|t| start + t);
-    let space = crate::space_for(opts, jobs);
+    let space = EnumSpace::new(&opts.enumeration);
     let branch_co_pa = branches_co_pa(mtm);
     let pipeline = Pipeline::new(
         &space,
@@ -966,11 +948,10 @@ mod tests {
     use transform_synth::programs::EnumOptions;
     use transform_synth::{plan_from_keyed, plan_key};
 
-    fn enum_opts(bound: usize, symmetry: bool) -> EnumOptions {
+    fn enum_opts(bound: usize) -> EnumOptions {
         let mut o = EnumOptions::new(bound);
         o.allow_fences = false;
         o.allow_rmw = false;
-        o.symmetry_reduction = symmetry;
         o
     }
 
@@ -986,53 +967,26 @@ mod tests {
     #[test]
     fn admitter_reproduces_the_sequential_plan() {
         let m = mtm();
-        for symmetry in [true, false] {
-            let eo = enum_opts(4, symmetry);
-            let space = EnumSpace::with_target_partitions(&eo, 32);
-            let mut admitter = Admitter::new(symmetry);
-            let mut items = Vec::new();
-            for p in 0..space.partition_count() {
-                items.extend(admitter.admit(space.enumerate_keyed(p)));
-            }
-            let keyed = transform_synth::programs::programs(&eo)
-                .into_iter()
-                .map(|p| {
-                    let key = plan_key(&p);
-                    (p, key)
-                })
-                .collect();
-            let reference = plan_from_keyed(&m, "sc_per_loc", keyed, false);
-            assert_eq!(admitter.programs, reference.programs, "symmetry {symmetry}");
-            assert_eq!(items.len(), reference.items.len(), "symmetry {symmetry}");
-            for (a, b) in items.iter().zip(&reference.items) {
-                assert_eq!(a.index, b.index);
-                assert_eq!(a.key, b.key);
-                assert_eq!(a.program, b.program);
-            }
+        let eo = enum_opts(4);
+        let space = EnumSpace::new(&eo);
+        let mut admitter = Admitter::new();
+        let mut items = Vec::new();
+        for p in 0..space.partition_count() {
+            items.extend(admitter.admit(space.enumerate_keyed(p)));
         }
-    }
-
-    /// The admitter is partition-shape-blind: a mass-balanced space
-    /// admits the identical plan.
-    #[test]
-    fn admitter_is_identical_over_balanced_partitions() {
-        let eo = enum_opts(4, true);
-        let depth = EnumSpace::with_target_partitions(&eo, 32);
-        let mass = EnumSpace::balanced(&eo, 3);
-        let admit_all = |space: &EnumSpace| {
-            let mut admitter = Admitter::new(true);
-            let mut items = Vec::new();
-            for p in 0..space.partition_count() {
-                items.extend(admitter.admit(space.enumerate_keyed(p)));
-            }
-            (admitter.programs, items)
-        };
-        let (programs_a, items_a) = admit_all(&depth);
-        let (programs_b, items_b) = admit_all(&mass);
-        assert_eq!(programs_a, programs_b);
-        assert_eq!(items_a.len(), items_b.len());
-        for (a, b) in items_a.iter().zip(&items_b) {
+        let keyed = transform_synth::programs::programs(&eo)
+            .into_iter()
+            .map(|p| {
+                let key = plan_key(&p);
+                (p, key)
+            })
+            .collect();
+        let reference = plan_from_keyed(&m, "sc_per_loc", keyed, false);
+        assert_eq!(admitter.programs, reference.programs);
+        assert_eq!(items.len(), reference.items.len());
+        for (a, b) in items.iter().zip(&reference.items) {
             assert_eq!(a.index, b.index);
+            assert_eq!(a.key, b.key);
             assert_eq!(a.program, b.program);
         }
     }
@@ -1041,8 +995,8 @@ mod tests {
     /// the prefix below the cut and drops everything from it on.
     #[test]
     fn frontier_cuts_reproducibly_on_out_of_order_delivery() {
-        let eo = enum_opts(4, true);
-        let space = EnumSpace::with_target_partitions(&eo, 8);
+        let eo = enum_opts(4);
+        let space = EnumSpace::new(&eo);
         assert!(space.partition_count() >= 3, "space too small for the test");
         let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None);
         // Claim the first three enumeration tasks.
@@ -1060,7 +1014,7 @@ mod tests {
         let st = pipeline.state.into_inner().expect("lock");
         assert_eq!(st.cut_at, Some(1));
         assert!(st.expired);
-        let mut reference = Admitter::new(true);
+        let mut reference = Admitter::new();
         let expected_items = reference.admit(space.enumerate_keyed(0)).len();
         assert_eq!(st.admitter.programs, reference.programs);
         let queued: usize = st.exam.iter().map(|b| b.items.len()).sum();
@@ -1072,8 +1026,8 @@ mod tests {
     /// exactly once.
     #[test]
     fn fused_pipeline_queues_one_batch_per_chunk() {
-        let eo = enum_opts(4, true);
-        let space = EnumSpace::with_target_partitions(&eo, 4);
+        let eo = enum_opts(4);
+        let space = EnumSpace::new(&eo);
         // A window wide enough to claim every partition before any
         // examine batch exists (examination has pop priority).
         let pipeline = Pipeline::new(
@@ -1115,8 +1069,8 @@ mod tests {
     /// live count, so `live` drains to exactly the in-flight batches.
     #[test]
     fn deadline_cut_keeps_live_accounting_exact() {
-        let eo = enum_opts(4, true);
-        let space = EnumSpace::with_target_partitions(&eo, 8);
+        let eo = enum_opts(4);
+        let space = EnumSpace::new(&eo);
         assert!(space.partition_count() >= 3, "space too small for the test");
         let pipeline = Pipeline::new(&space, &["a"], None, None, 3, None);
         for expect in 0..3 {
@@ -1162,8 +1116,8 @@ mod tests {
     /// admission, and the mass total is the space's.
     #[test]
     fn progress_mirrors_frontier_advance() {
-        let eo = enum_opts(4, true);
-        let space = EnumSpace::with_target_partitions(&eo, 8);
+        let eo = enum_opts(4);
+        let space = EnumSpace::new(&eo);
         let masses = space.masses().to_vec();
         let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None);
         assert_eq!(pipeline.progress.snapshot().mass_total, space.total_mass());

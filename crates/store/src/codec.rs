@@ -25,8 +25,10 @@ use transform_synth::programs::{PaRef, Program, SlotOp};
 use transform_synth::{ShardStats, SuiteRecord, SuiteStats, SynthesizedElt};
 
 /// The store's on-disk format version. Bump on any encoding change;
-/// readers reject other versions and the cache resynthesizes.
-pub const FORMAT_VERSION: u32 = 1;
+/// readers reject other versions and the cache resynthesizes. Version 2
+/// dropped the identity-remap and symmetry-reduction flags from
+/// [`crate::EntryMeta`].
+pub const FORMAT_VERSION: u32 = 2;
 
 /// A decoding failure: malformed, truncated, or out-of-range bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -81,12 +81,7 @@ pub fn suite_fingerprint(mtm: &Mtm, axiom: &str, opts: &SynthOptions) -> Fingerp
         Some(t) => field(&(t as u64).to_le_bytes()),
         None => field(b"unbounded-threads"),
     }
-    field(&[
-        u8::from(e.allow_fences),
-        u8::from(e.allow_rmw),
-        u8::from(e.allow_identity_remap),
-        u8::from(e.symmetry_reduction),
-    ]);
+    field(&[u8::from(e.allow_fences), u8::from(e.allow_rmw)]);
     field(backend_tag(opts.backend).as_bytes());
     Fingerprint::of_bytes(&stream)
 }
@@ -135,9 +130,6 @@ mod tests {
         let mut o = base.clone();
         o.enumeration.max_threads = Some(2);
         assert_ne!(reference, fp(&m, "invlpg", &o), "max_threads");
-        let mut o = base.clone();
-        o.enumeration.symmetry_reduction = false;
-        assert_ne!(reference, fp(&m, "invlpg", &o), "symmetry");
         let mut o = base.clone();
         o.backend = Backend::Relational;
         assert_ne!(reference, fp(&m, "invlpg", &o), "backend");

@@ -120,10 +120,6 @@ pub struct EntryMeta {
     pub allow_fences: bool,
     /// Whether RMW pairs were in the program space.
     pub allow_rmw: bool,
-    /// Whether identity remaps were in the program space.
-    pub allow_identity_remap: bool,
-    /// Whether symmetry reduction was applied.
-    pub symmetry_reduction: bool,
     /// The candidate-execution backend tag.
     pub backend: String,
 }
@@ -139,8 +135,6 @@ impl EntryMeta {
             max_threads: e.max_threads,
             allow_fences: e.allow_fences,
             allow_rmw: e.allow_rmw,
-            allow_identity_remap: e.allow_identity_remap,
-            symmetry_reduction: e.symmetry_reduction,
             backend: crate::fingerprint::backend_tag(opts.backend).to_string(),
         }
     }
@@ -158,8 +152,6 @@ impl EntryMeta {
         }
         e.boolean(self.allow_fences);
         e.boolean(self.allow_rmw);
-        e.boolean(self.allow_identity_remap);
-        e.boolean(self.symmetry_reduction);
         e.string(&self.backend);
     }
 
@@ -171,8 +163,6 @@ impl EntryMeta {
             max_threads: if d.boolean()? { Some(d.size()?) } else { None },
             allow_fences: d.boolean()?,
             allow_rmw: d.boolean()?,
-            allow_identity_remap: d.boolean()?,
-            symmetry_reduction: d.boolean()?,
             backend: d.string()?,
         })
     }

@@ -158,6 +158,74 @@ fn stale_format_versions_are_rebuilt_not_served() {
         Ok(_) => panic!("expected a version error, got a reader"),
     }
     h.assert_detected_and_rebuilt(&bytes, "stale version");
+
+    // The previous format's own layout: its entry header carried two
+    // more `EntryMeta` booleans (identity remaps, symmetry reduction)
+    // after `allow_rmw`. Read as the current layout, those bytes would
+    // shift every later header field — so the version must be refused
+    // before the header is decoded at all.
+    let previous = transform_store::FORMAT_VERSION - 1;
+    let old = previous_layout(&h.clean_bytes, previous);
+    std::fs::write(&h.path, &old).expect("plants the previous layout");
+    match h.store.open_suite(fp) {
+        Err(transform_store::StoreError::Version { found }) => assert_eq!(found, previous),
+        Err(other) => panic!("expected a version error, got {other}"),
+        Ok(_) => panic!("expected a version error, got a reader"),
+    }
+    h.assert_detected_and_rebuilt(&old, "previous format version");
+}
+
+/// Re-encodes a sealed entry in the previous format's layout: `version`
+/// in the version field, the two removed booleans (identity remaps off,
+/// symmetry reduction on) spliced into the header after `allow_rmw`,
+/// and the header length and checksum recomputed so that only the
+/// version and the layout are stale.
+fn previous_layout(clean: &[u8], version: u32) -> Vec<u8> {
+    use transform_store::codec::{Dec, Enc, Fnv64};
+    let (magic, rest) = clean.split_at(8);
+    let mut d = Dec::new(&rest[4..]);
+    let header_len = d.size().expect("header length");
+    // The varint's own width: re-encode it.
+    let mut len_bytes = Enc::new();
+    len_bytes.size(header_len);
+    let header_at = 4 + len_bytes.into_bytes().len();
+    let header = &rest[header_at..header_at + header_len];
+    let tail = &rest[header_at + header_len + 8..]; // past the header checksum
+
+    // Decode the header fields up to `allow_rmw` and re-encode them to
+    // learn where the two extra booleans go.
+    let mut d = Dec::new(header);
+    let mut prefix = Enc::new();
+    prefix.u64(d.u64().expect("fingerprint hi"));
+    prefix.u64(d.u64().expect("fingerprint lo"));
+    prefix.string(&d.string().expect("mtm"));
+    prefix.string(&d.string().expect("axiom"));
+    prefix.size(d.size().expect("bound"));
+    let capped = d.boolean().expect("max_threads tag");
+    prefix.boolean(capped);
+    if capped {
+        prefix.size(d.size().expect("max_threads"));
+    }
+    prefix.boolean(d.boolean().expect("allow_fences"));
+    prefix.boolean(d.boolean().expect("allow_rmw"));
+    let prefix = prefix.into_bytes();
+    assert_eq!(&header[..prefix.len()], prefix.as_slice());
+    let mut old_header = prefix.clone();
+    old_header.extend_from_slice(&[0, 1]);
+    old_header.extend_from_slice(&header[prefix.len()..]);
+
+    let mut e = Enc::new();
+    e.raw(magic);
+    e.u32(version);
+    e.size(old_header.len());
+    e.raw(&old_header);
+    let mut checksum = Fnv64::new();
+    checksum.update(magic);
+    checksum.update(&version.to_le_bytes());
+    checksum.update(&old_header);
+    e.u64(checksum.finish());
+    e.raw(tail);
+    e.into_bytes()
 }
 
 #[test]

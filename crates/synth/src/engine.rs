@@ -51,7 +51,7 @@ pub enum Backend {
 /// Options for one synthesis run.
 #[derive(Clone, Debug)]
 pub struct SynthOptions {
-    /// Program enumeration knobs (bound, fences, rmw, symmetry reduction).
+    /// Program enumeration knobs (bound, thread cap, fences, rmw).
     pub enumeration: EnumOptions,
     /// Candidate-execution backend.
     pub backend: Backend,

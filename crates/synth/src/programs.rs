@@ -232,7 +232,10 @@ impl Program {
     }
 }
 
-/// Knobs for bounded program enumeration.
+/// Knobs for bounded program enumeration. Symmetry reduction (§VI-A)
+/// is part of enumeration, not an option: every program is keyed
+/// canonically and only the first occurrence of each key is kept. PTE
+/// writes never re-install their VA's initial mapping.
 #[derive(Clone, Debug)]
 pub struct EnumOptions {
     /// Maximum total event count (the paper's instruction bound).
@@ -243,11 +246,6 @@ pub struct EnumOptions {
     pub allow_fences: bool,
     /// Allow RMW (read-modify-write) pairs.
     pub allow_rmw: bool,
-    /// Allow PTE writes that re-install a VA's initial mapping.
-    pub allow_identity_remap: bool,
-    /// Apply canonical-form symmetry reduction during enumeration
-    /// (§VI-A); turning this off is an ablation.
-    pub symmetry_reduction: bool,
 }
 
 impl EnumOptions {
@@ -258,8 +256,6 @@ impl EnumOptions {
             max_threads: None,
             allow_fences: true,
             allow_rmw: true,
-            allow_identity_remap: false,
-            symmetry_reduction: true,
         }
     }
 }
@@ -469,32 +465,28 @@ fn with_op(
 pub struct KeyedProgram {
     /// The enumerated program.
     pub program: Program,
-    /// Canonical key ([`canonical_key`]) — present whenever enumeration
-    /// needed it (symmetry reduction on) or the planner will (the
-    /// program has a write); `None` only for write-free programs with
-    /// symmetry reduction off.
+    /// Canonical key ([`canonical_key`]). Always `Some`: symmetry
+    /// reduction keys every program. The field stays an `Option`
+    /// because eltbench's traced replay reads it as one.
     pub key: Option<Vec<u64>>,
     /// [`Program::has_write`], precomputed.
     pub has_write: bool,
 }
 
-/// Where enumerated programs land: applies symmetry-reduction dedup
-/// (scoped to the whole run for the monolithic recursion, or to one
-/// partition for [`EnumSpace::enumerate_keyed`]) and decides which
-/// canonical keys are worth keeping.
-struct EmitSink<'a> {
-    opts: &'a EnumOptions,
-    /// Keep keys for write-bearing programs even without symmetry
-    /// reduction — the partitioned planner reuses them as plan keys.
+/// Where enumerated programs land: keeps the first occurrence of each
+/// canonical key (symmetry reduction), scoped to the whole run for
+/// [`programs`] or to one partition for [`EnumSpace::enumerate_keyed`].
+struct EmitSink {
+    /// Keep each emitted program's key in its [`KeyedProgram`] — the
+    /// partitioned planner reuses them as plan keys.
     keep_keys: bool,
     seen: BTreeSet<Vec<u64>>,
     out: Vec<KeyedProgram>,
 }
 
-impl<'a> EmitSink<'a> {
-    fn new(opts: &'a EnumOptions, keep_keys: bool) -> EmitSink<'a> {
+impl EmitSink {
+    fn new(keep_keys: bool) -> EmitSink {
         EmitSink {
-            opts,
             keep_keys,
             seen: BTreeSet::new(),
             out: Vec::new(),
@@ -502,38 +494,31 @@ impl<'a> EmitSink<'a> {
     }
 
     fn emit(&mut self, program: Program) {
-        let has_write = program.has_write();
-        let needs_key = self.opts.symmetry_reduction || (self.keep_keys && has_write);
-        let mut key = needs_key.then(|| canonical_key(&program));
-        if self.opts.symmetry_reduction {
-            let k = key.as_ref().expect("symmetry reduction keys every program");
-            if self.seen.contains(k) {
-                return;
-            }
-            if self.keep_keys {
-                self.seen.insert(k.clone());
-            } else {
-                // Only `programs` / `programs_with_deadline` get here —
-                // the sequential engine's enumeration and the oracle the
-                // partitioned streams are checked against. They discard
-                // per-program keys, so move the key into the dedup set
-                // instead of retaining a second copy per emitted program.
-                key = {
-                    self.seen.insert(key.expect("checked above"));
-                    None
-                };
-            }
+        let key = canonical_key(&program);
+        if self.seen.contains(&key) {
+            return;
         }
+        // Only `programs` / `programs_with_deadline` drop keys — the
+        // sequential engine's enumeration and the oracle the partitioned
+        // streams are checked against. Moving the key into the dedup set
+        // avoids retaining a second copy per emitted program.
+        let key = if self.keep_keys {
+            self.seen.insert(key.clone());
+            Some(key)
+        } else {
+            self.seen.insert(key);
+            None
+        };
         self.out.push(KeyedProgram {
+            has_write: program.has_write(),
             program,
             key,
-            has_write,
         });
     }
 }
 
-/// Enumerates all programs of size ≤ `opts.bound`, canonically deduplicated
-/// when `opts.symmetry_reduction` is on.
+/// Enumerates all programs of size ≤ `opts.bound`, canonically
+/// deduplicated.
 pub fn programs(opts: &EnumOptions) -> Vec<Program> {
     programs_with_deadline(opts, None)
 }
@@ -547,7 +532,7 @@ pub fn programs_with_deadline(
     let mut all_shapes = shapes(opts.bound, opts);
     all_shapes.sort_by_key(|s| s.cost); // enables early cut-off in combine
     let max_threads = opts.max_threads.unwrap_or(opts.bound);
-    let mut sink = EmitSink::new(opts, false);
+    let mut sink = EmitSink::new(false);
 
     // Choose up to `max_threads` shapes (non-decreasing indices for
     // symmetry breaking across identical shape multisets).
@@ -571,7 +556,7 @@ fn combine(
     threads_left: usize,
     chosen: &mut Vec<usize>,
     deadline: &Option<std::time::Instant>,
-    sink: &mut EmitSink<'_>,
+    sink: &mut EmitSink,
 ) {
     if let Some(d) = deadline {
         if std::time::Instant::now() > *d {
@@ -617,7 +602,8 @@ fn invlpgs_suffice(shapes: &[Shape], chosen: &[usize]) -> bool {
 }
 
 /// Exact node counts of the *unpruned* shape-combination recursion,
-/// memoized.
+/// memoized — the mass behind progress reporting and its ETA
+/// ([`EnumSpace::masses`], [`mass_eta`]).
 ///
 /// A *node* is one chosen shape multiset. `combine` returns early from
 /// nodes that fail [`invlpgs_suffice`], skipping their subtrees, so the
@@ -634,8 +620,8 @@ fn invlpgs_suffice(shapes: &[Shape], chosen: &[usize]) -> bool {
 /// `N(f,b,t) = N(f+1,b,t) + [cost_f ≤ b] · (1 + N(f, b−cost_f, t−1))`
 ///
 /// The table is `O(shapes × bound × threads)` and each entry is O(1),
-/// so estimating every partition's mass costs far less than
-/// enumerating even one of them.
+/// so sizing every partition costs far less than enumerating even one
+/// of them.
 struct MassTable {
     /// `table[(f * (bound+1) + b) * (maxt+1) + t]`.
     table: Vec<u64>,
@@ -675,21 +661,6 @@ impl MassTable {
         let t = threads.min(self.maxt);
         self.table[(from * (self.bound + 1) + b) * (self.maxt + 1) + t]
     }
-
-    /// Estimated mass of one partition: its own node plus, for subtree
-    /// partitions, everything below the prefix.
-    fn partition_mass(&self, shapes: &[Shape], max_threads: usize, part: &Partition) -> u64 {
-        if !part.subtree {
-            return 1;
-        }
-        let used: usize = part.prefix.iter().map(|&i| shapes[i].cost).sum();
-        let from = *part.prefix.last().expect("prefixes are non-empty");
-        1u64.saturating_add(self.descendants(
-            from,
-            self.bound.saturating_sub(used),
-            max_threads.saturating_sub(part.prefix.len()),
-        ))
-    }
 }
 
 /// Projects time-to-completion from subtree-mass progress: the rate is
@@ -718,231 +689,73 @@ pub fn mass_eta(
     ))
 }
 
-/// The bounded program space split by *skeleton prefix* into
-/// independently enumerable partitions.
+/// The bounded program space split into independently enumerable
+/// partitions, one per *root shape*.
 ///
-/// A partition is a node of the shape-combination recursion: the chosen
-/// first (and, after a split, second) thread shapes. Partitions are
-/// ordered exactly as the monolithic recursion visits them, so
-/// concatenating their outputs in ordinal order — keeping, under
-/// symmetry reduction, only the first occurrence of each canonical key
-/// across partitions — reproduces [`programs`] element for element.
-/// That makes each partition an independent work unit for a parallel
-/// pool *and* gives every enumerated program a stable position
-/// `(ordinal, offset)` that no scheduling decision can move.
+/// Partition `i` is the subtree of the shape-combination recursion
+/// whose first thread is shape `i` of the cost-sorted shape list.
+/// Partitions are ordered exactly as the monolithic recursion visits
+/// them, so concatenating their outputs in ordinal order — keeping only
+/// the first occurrence of each canonical key across partitions —
+/// reproduces [`programs`] element for element. That makes each
+/// partition an independent work unit for a parallel pool *and* gives
+/// every enumerated program a stable position `(ordinal, offset)` that
+/// no scheduling decision can move.
 pub struct EnumSpace {
     shapes: Vec<Shape>,
-    opts: EnumOptions,
+    bound: usize,
     max_threads: usize,
-    partitions: Vec<Partition>,
-    /// Estimated mass of every partition, by ordinal, from the one
-    /// [`MassTable`] built with the space.
+    /// Mass of every partition, by ordinal, from the one [`MassTable`]
+    /// built with the space. Empty when `max_threads` is 0.
     masses: Vec<u64>,
 }
 
-/// One node of the shape-combination recursion, as a work unit.
-#[derive(Clone, Debug)]
-struct Partition {
-    /// Chosen-shape prefix: indices into the cost-sorted shape list,
-    /// non-decreasing (the recursion's permutation breaking).
-    prefix: Vec<usize>,
-    /// Enumerate the whole subtree below the prefix, or only the prefix
-    /// node itself (its children were split into their own partitions).
-    subtree: bool,
-}
-
-/// Splits never go deeper than two chosen shapes: depth 2 already yields
-/// O(shapes²) partitions, far more than any realistic worker count.
-const MAX_SPLIT_DEPTH: usize = 2;
-
-/// The order-preserving expansion of one subtree partition: Emit(p)
-/// followed by Subtree(p + [j]) for every feasible continuation j —
-/// exactly the recursion's own visit order. Splicing this in place of
-/// the node keeps global partition order equal to the monolithic
-/// enumeration under any sequence of splits; both split modes (depth
-/// and mass) go through here so they can never drift apart.
-fn expand_partition(
-    node: &Partition,
-    shapes: &[Shape],
-    bound: usize,
-    max_threads: usize,
-) -> Vec<Partition> {
-    let used: usize = node.prefix.iter().map(|&i| shapes[i].cost).sum();
-    let budget_left = bound - used;
-    let from = *node.prefix.last().expect("prefixes are non-empty");
-    let mut expansion = vec![Partition {
-        prefix: node.prefix.clone(),
-        subtree: false,
-    }];
-    if node.prefix.len() < max_threads {
-        for (j, shape) in shapes.iter().enumerate().skip(from) {
-            if shape.cost > budget_left {
-                break; // shapes are sorted by cost
-            }
-            let mut prefix = node.prefix.clone();
-            prefix.push(j);
-            expansion.push(Partition {
-                prefix,
-                subtree: true,
-            });
-        }
-    }
-    expansion
-}
-
 impl EnumSpace {
-    /// Builds the space with one partition per first-thread shape.
+    /// Builds the space: one partition per root shape, or none when
+    /// `max_threads` is 0.
     pub fn new(opts: &EnumOptions) -> EnumSpace {
-        EnumSpace::with_target_partitions(opts, 0)
-    }
-
-    /// Builds the space, splitting subtrees (cheapest root shape first —
-    /// those own the largest subtrees — and always order-preserving)
-    /// until at least `target` partitions exist or nothing splittable
-    /// remains.
-    pub fn with_target_partitions(opts: &EnumOptions, target: usize) -> EnumSpace {
         let mut shapes = shapes(opts.bound, opts);
         shapes.sort_by_key(|s| s.cost); // identical to the monolithic sort
         let max_threads = opts.max_threads.unwrap_or(opts.bound);
-        let mut partitions: Vec<Partition> = if max_threads == 0 {
+        let masses = if max_threads == 0 {
             Vec::new()
         } else {
-            (0..shapes.len())
-                .map(|i| Partition {
-                    prefix: vec![i],
-                    subtree: true,
+            // The root node plus every node below it.
+            let table = MassTable::new(&shapes, opts.bound, max_threads);
+            shapes
+                .iter()
+                .enumerate()
+                .map(|(i, s)| {
+                    1u64.saturating_add(table.descendants(i, opts.bound - s.cost, max_threads - 1))
                 })
                 .collect()
         };
-        while partitions.len() < target {
-            // The first still-splittable subtree has the cheapest root.
-            let Some(at) = partitions
-                .iter()
-                .position(|p| p.subtree && p.prefix.len() < MAX_SPLIT_DEPTH)
-            else {
-                break;
-            };
-            let node = partitions[at].clone();
-            let expansion = expand_partition(&node, &shapes, opts.bound, max_threads);
-            partitions.splice(at..=at, expansion);
-        }
-        let table = MassTable::new(&shapes, opts.bound, max_threads);
-        let masses = partitions
-            .iter()
-            .map(|p| table.partition_mass(&shapes, max_threads, p))
-            .collect();
         EnumSpace {
             shapes,
-            opts: opts.clone(),
+            bound: opts.bound,
             max_threads,
-            partitions,
             masses,
         }
     }
 
-    /// Builds the space split by *estimated subtree mass*: any
-    /// partition whose exact shape-combination node count exceeds
-    /// `target_mass` is split (heaviest first, always
-    /// order-preserving) until every partition fits the target or
-    /// nothing splittable remains. Unlike the depth-2 split of
-    /// [`EnumSpace::with_target_partitions`], this sees *into* the
-    /// recursion: a cheap root shape owning a huge subtree is carved
-    /// up, a costly root owning a sliver is left whole — so a parallel
-    /// pool's work units carry comparable enumeration work.
-    pub fn balanced(opts: &EnumOptions, target_mass: u64) -> EnumSpace {
-        EnumSpace::balanced_impl(opts, Some(target_mass), usize::MAX)
-    }
-
-    /// Like [`EnumSpace::balanced`], deriving the mass target from a
-    /// partition-count target: `target_mass = total_mass / target`. The
-    /// convenience the parallel orchestrator uses (`jobs × partitions
-    /// per worker` in, balanced work units out).
-    pub fn balanced_for_target(opts: &EnumOptions, target: usize) -> EnumSpace {
-        EnumSpace::balanced_impl(opts, None, target)
-    }
-
-    fn balanced_impl(opts: &EnumOptions, target_mass: Option<u64>, target: usize) -> EnumSpace {
-        /// Far more partitions than any realistic worker count needs;
-        /// bounds per-partition overhead when the mass target is tiny.
-        const MAX_BALANCED_PARTITIONS: usize = 8192;
-        let mut shapes = shapes(opts.bound, opts);
-        shapes.sort_by_key(|s| s.cost); // identical to the monolithic sort
-        let max_threads = opts.max_threads.unwrap_or(opts.bound);
-        let table = MassTable::new(&shapes, opts.bound, max_threads);
-        let mut partitions: Vec<Partition> = if max_threads == 0 {
-            Vec::new()
-        } else {
-            (0..shapes.len())
-                .map(|i| Partition {
-                    prefix: vec![i],
-                    subtree: true,
-                })
-                .collect()
-        };
-        let mut masses: Vec<u64> = partitions
-            .iter()
-            .map(|p| table.partition_mass(&shapes, max_threads, p))
-            .collect();
-        let total: u64 = masses.iter().fold(0u64, |a, &m| a.saturating_add(m));
-        let target_mass = target_mass
-            .unwrap_or_else(|| total / target.max(1) as u64)
-            .max(1);
-        while partitions.len() < MAX_BALANCED_PARTITIONS {
-            // The heaviest partition above the target. A subtree whose
-            // mass exceeds 1 always has children, so splitting strictly
-            // reduces the maximum and the loop terminates.
-            let Some(at) = (0..partitions.len())
-                .filter(|&i| partitions[i].subtree && masses[i] > target_mass)
-                .max_by_key(|&i| masses[i])
-            else {
-                break;
-            };
-            let node = partitions[at].clone();
-            let expansion = expand_partition(&node, &shapes, opts.bound, max_threads);
-            let expansion_masses: Vec<u64> = expansion
-                .iter()
-                .map(|p| table.partition_mass(&shapes, max_threads, p))
-                .collect();
-            partitions.splice(at..=at, expansion);
-            masses.splice(at..=at, expansion_masses);
-        }
-        EnumSpace {
-            shapes,
-            opts: opts.clone(),
-            max_threads,
-            partitions,
-            masses,
-        }
-    }
-
-    /// The estimated mass of every partition, in ordinal order: the
-    /// exact shape-combination node count each work unit covers
-    /// (diagnostics and progress reporting). Computed once, from the
-    /// table that built the space.
+    /// The mass of every partition, in ordinal order: the exact
+    /// shape-combination node count of its subtree, pruned nodes
+    /// included (progress reporting and diagnostics). Computed once,
+    /// when the space is built.
     pub fn masses(&self) -> &[u64] {
         &self.masses
     }
 
-    /// Total estimated mass of the space: the sum of
-    /// [`EnumSpace::masses`] — the denominator of mass-based progress
-    /// reporting ([`mass_eta`]).
+    /// Total mass of the space: the sum of [`EnumSpace::masses`] — the
+    /// denominator of mass-based progress reporting ([`mass_eta`]).
     pub fn total_mass(&self) -> u64 {
         self.masses.iter().fold(0u64, |a, &m| a.saturating_add(m))
     }
 
-    /// The enumeration options the space was built for.
-    pub fn options(&self) -> &EnumOptions {
-        &self.opts
-    }
-
-    /// Number of partitions.
+    /// Number of partitions: the number of shapes, or 0 when
+    /// `max_threads` is 0.
     pub fn partition_count(&self) -> usize {
-        self.partitions.len()
-    }
-
-    /// The chosen-shape prefix of partition `ordinal` (diagnostics).
-    pub fn partition_prefix(&self, ordinal: usize) -> &[usize] {
-        &self.partitions[ordinal].prefix
+        self.masses.len()
     }
 
     /// Enumerates one partition, canonical keys included. Symmetry
@@ -961,29 +774,31 @@ impl EnumSpace {
     /// the deadline after the call and discard the result (treating the
     /// partition as cut) if it struck, which is what the parallel
     /// planner and the streaming pipeline do.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `ordinal` is not below [`EnumSpace::partition_count`].
     pub fn enumerate_keyed_within(
         &self,
         ordinal: usize,
         deadline: Option<std::time::Instant>,
     ) -> Vec<KeyedProgram> {
-        let part = &self.partitions[ordinal];
-        let mut sink = EmitSink::new(&self.opts, true);
-        let mut chosen = part.prefix.clone();
-        if part.subtree {
-            let used: usize = chosen.iter().map(|&i| self.shapes[i].cost).sum();
-            let from = *chosen.last().expect("prefixes are non-empty");
-            combine(
-                &self.shapes,
-                from,
-                self.opts.bound - used,
-                self.max_threads - chosen.len(),
-                &mut chosen,
-                &deadline,
-                &mut sink,
-            );
-        } else if invlpgs_suffice(&self.shapes, &chosen) {
-            assign_and_emit(&self.shapes, &chosen, &mut sink);
-        }
+        assert!(
+            ordinal < self.partition_count(),
+            "partition {ordinal} of {}",
+            self.partition_count()
+        );
+        let mut sink = EmitSink::new(true);
+        let mut chosen = vec![ordinal];
+        combine(
+            &self.shapes,
+            ordinal,
+            self.bound - self.shapes[ordinal].cost,
+            self.max_threads - 1,
+            &mut chosen,
+            &deadline,
+            &mut sink,
+        );
         sink.out
     }
 
@@ -1003,8 +818,7 @@ impl EnumSpace {
 /// The streaming counterpart of [`programs`]: iterates the partitions
 /// of an [`EnumSpace`] in order, carrying the cross-partition
 /// first-occurrence dedup, so the yielded sequence is element-for-
-/// element identical to the eager enumeration at any partition
-/// granularity.
+/// element identical to the eager enumeration.
 pub struct ProgramStream<'s> {
     space: &'s EnumSpace,
     next_partition: usize,
@@ -1018,15 +832,13 @@ impl Iterator for ProgramStream<'_> {
     fn next(&mut self) -> Option<Program> {
         loop {
             if let Some(kp) = self.buffered.next() {
-                if self.space.opts.symmetry_reduction {
-                    let key = kp.key.expect("symmetry reduction keys every program");
-                    if !self.seen.insert(key) {
-                        continue; // first occurrence was in an earlier partition
-                    }
+                let key = kp.key.expect("enumeration keys every program");
+                if !self.seen.insert(key) {
+                    continue; // first occurrence was in an earlier partition
                 }
                 return Some(kp.program);
             }
-            if self.next_partition == self.space.partitions.len() {
+            if self.next_partition == self.space.partition_count() {
                 return None;
             }
             self.buffered = self.space.enumerate_keyed(self.next_partition).into_iter();
@@ -1047,8 +859,7 @@ impl Iterator for ProgramStream<'_> {
 ///    its whole PA cross-product;
 /// 3. per PA assignment of a surviving VA map, emit one program per
 ///    surviving remap.
-fn assign_and_emit(shapes: &[Shape], chosen: &[usize], sink: &mut EmitSink<'_>) {
-    let opts = sink.opts;
+fn assign_and_emit(shapes: &[Shape], chosen: &[usize], sink: &mut EmitSink) {
     let ts: Vec<&Shape> = chosen.iter().map(|&i| &shapes[i]).collect();
 
     // Enumerate injective per-thread maps local VA → global VA with
@@ -1160,8 +971,8 @@ fn assign_and_emit(shapes: &[Shape], chosen: &[usize], sink: &mut EmitSink<'_>) 
             for op in threads.iter_mut().flatten() {
                 if let SlotOp::PteWrite { va, pa } = op {
                     *pa = *sym_iter.next().expect("one symbol per PTE write");
-                    if !opts.allow_identity_remap && *pa == PaRef::Initial(*va) {
-                        ok = false;
+                    if *pa == PaRef::Initial(*va) {
+                        ok = false; // an identity remap changes nothing
                     }
                 }
             }
@@ -1327,11 +1138,9 @@ mod tests {
     #[test]
     fn pruned_enumeration_reproduces_the_unpruned_sequence_under_every_option() {
         type Tweak = fn(&mut EnumOptions);
-        let tweaks: [(&str, Tweak); 5] = [
+        let tweaks: [(&str, Tweak); 3] = [
             ("fences off", |o| o.allow_fences = false),
             ("rmw off", |o| o.allow_rmw = false),
-            ("identity remaps", |o| o.allow_identity_remap = true),
-            ("symmetry off", |o| o.symmetry_reduction = false),
             ("two threads", |o| o.max_threads = Some(2)),
         ];
         for (what, tweak) in tweaks {
@@ -1362,22 +1171,23 @@ mod tests {
         assert_eq!(mass_eta(100, 100, Duration::ZERO), Some(Duration::ZERO));
     }
 
+    /// One partition per root shape, and the space's total mass is the
+    /// brute-force node count of the whole recursion.
     #[test]
     fn total_mass_sums_the_partition_masses() {
-        let opts = EnumOptions::new(4);
-        for space in [
-            EnumSpace::with_target_partitions(&opts, 16),
-            EnumSpace::balanced_for_target(&opts, 16),
-        ] {
+        for bound in 1usize..=5 {
+            let opts = EnumOptions::new(bound);
+            let space = EnumSpace::new(&opts);
+            assert_eq!(space.partition_count(), space.shapes.len(), "bound {bound}");
             let masses = space.masses();
             assert_eq!(masses.len(), space.partition_count());
             assert_eq!(space.total_mass(), masses.iter().sum::<u64>());
-            assert!(space.total_mass() > 0);
+            assert_eq!(
+                space.total_mass(),
+                count_nodes(&space.shapes, 0, bound, space.max_threads),
+                "bound {bound}"
+            );
         }
-        // Splitting never changes the total mass, only its partitioning.
-        let coarse = EnumSpace::new(&opts);
-        let fine = EnumSpace::balanced_for_target(&opts, 64);
-        assert_eq!(coarse.total_mass(), fine.total_mass());
     }
 
     #[test]
@@ -1482,38 +1292,18 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_reduction_shrinks_the_set() {
-        let mut with = EnumOptions::new(4);
-        with.allow_fences = false;
-        with.allow_rmw = false;
-        let mut without = with.clone();
-        without.symmetry_reduction = false;
-        let n_with = programs(&with).len();
-        let n_without = programs(&without).len();
-        assert!(n_with <= n_without);
-        assert!(n_with > 0);
-    }
-
-    #[test]
-    fn stream_matches_eager_enumeration_at_any_partition_target() {
+    fn stream_matches_eager_enumeration() {
         for bound in [2usize, 3, 4] {
             for (fences, rmw) in [(false, false), (true, true)] {
-                for symmetry in [true, false] {
-                    let mut opts = EnumOptions::new(bound);
-                    opts.allow_fences = fences;
-                    opts.allow_rmw = rmw;
-                    opts.symmetry_reduction = symmetry;
-                    let eager = programs(&opts);
-                    for target in [0usize, 1, 7, 1000] {
-                        let space = EnumSpace::with_target_partitions(&opts, target);
-                        let streamed: Vec<Program> = space.stream().collect();
-                        assert_eq!(
-                            eager, streamed,
-                            "bound {bound} fences {fences} rmw {rmw} \
-                             symmetry {symmetry} target {target}"
-                        );
-                    }
-                }
+                let mut opts = EnumOptions::new(bound);
+                opts.allow_fences = fences;
+                opts.allow_rmw = rmw;
+                let streamed: Vec<Program> = EnumSpace::new(&opts).stream().collect();
+                assert_eq!(
+                    programs(&opts),
+                    streamed,
+                    "bound {bound} fences {fences} rmw {rmw}"
+                );
             }
         }
     }
@@ -1560,127 +1350,34 @@ mod tests {
     }
 
     /// The masses a space keeps from construction are the ones a fresh
-    /// table computes for its partitions, whichever constructor split it.
+    /// table computes for its root shapes.
     #[test]
     fn stored_masses_equal_a_fresh_mass_table() {
         for bound in 1usize..=5 {
-            let mut opts = EnumOptions::new(bound);
-            opts.allow_fences = true;
-            opts.allow_rmw = true;
-            for space in [
-                EnumSpace::new(&opts),
-                EnumSpace::with_target_partitions(&opts, 32),
-                EnumSpace::balanced_for_target(&opts, 16),
-                EnumSpace::balanced(&opts, 7),
-            ] {
-                let table = MassTable::new(&space.shapes, bound, space.max_threads);
-                let fresh: Vec<u64> = space
-                    .partitions
-                    .iter()
-                    .map(|p| table.partition_mass(&space.shapes, space.max_threads, p))
-                    .collect();
-                assert_eq!(space.masses(), fresh.as_slice(), "bound {bound}");
-            }
+            let space = EnumSpace::new(&EnumOptions::new(bound));
+            let table = MassTable::new(&space.shapes, bound, space.max_threads);
+            let fresh: Vec<u64> = space
+                .shapes
+                .iter()
+                .enumerate()
+                .map(|(i, s)| 1 + table.descendants(i, bound - s.cost, space.max_threads - 1))
+                .collect();
+            assert_eq!(space.masses(), fresh.as_slice(), "bound {bound}");
         }
-    }
-
-    #[test]
-    fn balanced_stream_matches_eager_enumeration_at_any_mass_target() {
-        for bound in [3usize, 4] {
-            for symmetry in [true, false] {
-                let mut opts = EnumOptions::new(bound);
-                opts.allow_fences = true;
-                opts.allow_rmw = true;
-                opts.symmetry_reduction = symmetry;
-                let eager = programs(&opts);
-                for target_mass in [0u64, 1, 5, 50, u64::MAX] {
-                    let space = EnumSpace::balanced(&opts, target_mass);
-                    let streamed: Vec<Program> = space.stream().collect();
-                    assert_eq!(
-                        eager, streamed,
-                        "bound {bound} symmetry {symmetry} target_mass {target_mass}"
-                    );
-                }
-                for target in [0usize, 1, 7, 64] {
-                    let space = EnumSpace::balanced_for_target(&opts, target);
-                    let streamed: Vec<Program> = space.stream().collect();
-                    assert_eq!(
-                        eager, streamed,
-                        "bound {bound} symmetry {symmetry} target {target}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn balanced_partitions_respect_the_mass_target() {
-        let mut opts = EnumOptions::new(4);
-        opts.allow_fences = true;
-        opts.allow_rmw = true;
-        for target_mass in [1u64, 3, 10, 100] {
-            let space = EnumSpace::balanced(&opts, target_mass);
-            let masses = space.masses();
-            assert_eq!(masses.len(), space.partition_count());
-            assert!(
-                masses.iter().all(|&m| m <= target_mass),
-                "target {target_mass}: masses {masses:?}"
-            );
-            // Splitting conserves total mass: same recursion, different
-            // work-unit boundaries.
-            let whole: u64 = EnumSpace::balanced(&opts, u64::MAX).masses().iter().sum();
-            assert_eq!(masses.iter().sum::<u64>(), whole);
-        }
-    }
-
-    #[test]
-    fn balanced_split_is_less_lopsided_than_depth_split() {
-        // The tentpole claim, at a measurable scale: for the same
-        // partition-count target, the heaviest mass-balanced partition
-        // carries no more work than the heaviest depth-split one.
-        let mut opts = EnumOptions::new(5);
-        opts.allow_fences = true;
-        opts.allow_rmw = true;
-        let target = 64;
-        let depth = EnumSpace::with_target_partitions(&opts, target);
-        let mass = EnumSpace::balanced_for_target(&opts, target);
-        let max_depth = depth.masses().iter().copied().max().unwrap_or(0);
-        let max_mass = mass.masses().iter().copied().max().unwrap_or(0);
-        assert!(
-            max_mass <= max_depth,
-            "mass split's heaviest partition ({max_mass}) exceeds depth split's ({max_depth})"
-        );
-    }
-
-    #[test]
-    fn partition_target_grows_the_partition_count() {
-        let opts = EnumOptions::new(4);
-        let shallow = EnumSpace::new(&opts);
-        let deep = EnumSpace::with_target_partitions(&opts, shallow.partition_count() * 4);
-        assert!(deep.partition_count() > shallow.partition_count());
-        // Split partitions stay prefix-labelled and non-empty overall.
-        let total: usize = (0..deep.partition_count())
-            .map(|p| deep.enumerate_keyed(p).len())
-            .sum();
-        assert!(total >= programs(&opts).len());
     }
 
     #[test]
     fn keyed_enumeration_keys_every_write_bearing_program() {
-        let mut opts = EnumOptions::new(4);
-        opts.symmetry_reduction = false; // keys still required for planning
-        let space = EnumSpace::new(&opts);
+        let space = EnumSpace::new(&EnumOptions::new(4));
         for p in 0..space.partition_count() {
             for kp in space.enumerate_keyed(p) {
                 assert_eq!(kp.has_write, kp.program.has_write());
-                if kp.has_write {
-                    assert_eq!(
-                        kp.key.as_deref(),
-                        Some(canonical_key(&kp.program).as_slice())
-                    );
-                } else {
-                    assert!(kp.key.is_none());
-                }
+                // Write-free programs are keyed too: symmetry reduction
+                // needs every key.
+                assert_eq!(
+                    kp.key.as_deref(),
+                    Some(canonical_key(&kp.program).as_slice())
+                );
             }
         }
     }
@@ -1690,7 +1387,7 @@ mod tests {
         let mut opts = EnumOptions::new(4);
         opts.max_threads = Some(0);
         assert!(programs(&opts).is_empty());
-        let space = EnumSpace::with_target_partitions(&opts, 16);
+        let space = EnumSpace::new(&opts);
         assert_eq!(space.partition_count(), 0);
         assert_eq!(space.stream().count(), 0);
     }
@@ -1722,7 +1419,7 @@ mod tests {
             let mut all_shapes = shapes(opts.bound, opts);
             all_shapes.sort_by_key(|s| s.cost);
             let max_threads = opts.max_threads.unwrap_or(opts.bound);
-            let mut sink = EmitSink::new(opts, false);
+            let mut sink = EmitSink::new(false);
             let mut chosen: Vec<usize> = Vec::new();
             combine(
                 &all_shapes,
@@ -1743,7 +1440,7 @@ mod tests {
             threads_left: usize,
             chosen: &mut Vec<usize>,
             deadline: &Option<std::time::Instant>,
-            sink: &mut EmitSink<'_>,
+            sink: &mut EmitSink,
         ) {
             if let Some(d) = deadline {
                 if std::time::Instant::now() > *d {
@@ -1774,8 +1471,7 @@ mod tests {
             }
         }
 
-        fn assign_and_emit(shapes: &[Shape], chosen: &[usize], sink: &mut EmitSink<'_>) {
-            let opts = sink.opts;
+        fn assign_and_emit(shapes: &[Shape], chosen: &[usize], sink: &mut EmitSink) {
             let ts: Vec<&Shape> = chosen.iter().map(|&i| &shapes[i]).collect();
 
             // Enumerate injective per-thread maps local VA → global VA with
@@ -1880,7 +1576,7 @@ mod tests {
                                 SlotOp::PteWrite { va, .. } => {
                                     let pa = *sym_iter.next().expect("one symbol per PTE write");
                                     let va = vmap[t][va];
-                                    if !opts.allow_identity_remap && pa == PaRef::Initial(va) {
+                                    if pa == PaRef::Initial(va) {
                                         ok = false;
                                     }
                                     SlotOp::PteWrite { va, pa }
