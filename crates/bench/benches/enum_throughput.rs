@@ -191,7 +191,7 @@ fn json_point(p: &Point) -> String {
             "\"synth_fused_secs\": {:.6}, ",
             "\"synth_observed_secs\": {:.6}, \"progress_overhead_pct\": {:.2}, ",
             "\"peak_live_streamed\": {}, ",
-            "\"partitions\": {}, \"batches\": {}, \"final_batch_size\": {}}}"
+            "\"partitions\": {}, \"batches\": {}}}"
         ),
         p.bound,
         p.programs,
@@ -207,7 +207,6 @@ fn json_point(p: &Point) -> String {
         p.metrics.peak_live_candidates,
         p.metrics.partitions,
         p.metrics.batches,
-        p.metrics.final_batch_size,
     )
 }
 

@@ -2,7 +2,7 @@
 //! bound) and Fig. 9b (synthesis runtimes).
 //!
 //! Usage: `fig9 [max_bound] [budget_seconds] [--fences] [--rmw]
-//! [--jobs N] [--partition-size N] [--cache DIR]
+//! [--jobs N] [--cache DIR]
 //! [--cache-url URL] [--progress[=human|json]]`
 //!
 //! `--progress` streams each point's live telemetry to stderr (stdout
@@ -33,7 +33,6 @@ fn main() {
     };
     let mut positional = Vec::new();
     let mut take_jobs = false;
-    let mut take_partition = false;
     let mut take_cache = false;
     let mut take_cache_url = false;
     for a in &args {
@@ -43,14 +42,6 @@ fn main() {
                 std::process::exit(2);
             });
             take_jobs = false;
-            continue;
-        }
-        if take_partition {
-            cfg.partition_size = Some(a.parse().unwrap_or_else(|_| {
-                eprintln!("error: --partition-size takes a number, got `{a}`");
-                std::process::exit(2);
-            }));
-            take_partition = false;
             continue;
         }
         if take_cache {
@@ -67,7 +58,6 @@ fn main() {
             "--fences" => cfg.allow_fences = true,
             "--rmw" => cfg.allow_rmw = true,
             "--jobs" => take_jobs = true,
-            "--partition-size" => take_partition = true,
             "--cache" => take_cache = true,
             "--cache-url" => take_cache_url = true,
             "--progress" => cfg.progress = Some(SweepProgress::Human),
@@ -78,15 +68,15 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
+            other if other.starts_with("--") => {
+                eprintln!("error: unknown flag `{other}`");
+                std::process::exit(2);
+            }
             other => positional.push(other.to_string()),
         }
     }
     if take_jobs {
         eprintln!("error: --jobs takes a number");
-        std::process::exit(2);
-    }
-    if take_partition {
-        eprintln!("error: --partition-size takes a number");
         std::process::exit(2);
     }
     if take_cache {

@@ -114,9 +114,6 @@ pub struct SweepConfig {
     pub allow_rmw: bool,
     /// Worker threads per suite (`transform-par`); 1 = sequential engine.
     pub jobs: usize,
-    /// Examine-batch granularity for the streaming engine (`None`
-    /// autotunes). Pure scheduling — never changes a suite.
-    pub partition_size: Option<usize>,
     /// A persistent suite store (`transform-store`): completed points
     /// are sealed into it and later sweeps stream them back instead of
     /// resynthesizing. `None` = always synthesize.
@@ -140,7 +137,6 @@ impl Default for SweepConfig {
             allow_fences: false,
             allow_rmw: false,
             jobs: 1,
-            partition_size: None,
             cache: None,
             cache_url: None,
             progress: None,
@@ -174,7 +170,6 @@ pub fn sweep(mtm: &Mtm, cfg: &SweepConfig) -> Vec<SweepPoint> {
             opts.enumeration.allow_fences = cfg.allow_fences;
             opts.enumeration.allow_rmw = cfg.allow_rmw;
             opts.timeout = Some(cfg.budget);
-            opts.partition_size = cfg.partition_size;
             // An observed point gets a per-point `ProgressState` with a
             // single axiom slot, sampled on a side thread at the
             // coalesced 100 ms cadence (hot polling visibly taxes small

@@ -1,9 +1,9 @@
 //! Per-subcommand `--help` text.
 //!
 //! Every subcommand answers `transform <cmd> --help` with its usage,
-//! its flags — cache flags (`--cache`, `--cache-url`,
-//! `--partition-size`) are described in the same words everywhere they
-//! apply — and one worked example.
+//! its flags — shared flags (`--cache`, `--cache-url`, `--progress`)
+//! are described in the same words everywhere they apply — and one
+//! worked example.
 
 /// The shared description of the cache flags, verbatim in every
 /// subcommand that accepts them.
@@ -19,13 +19,6 @@ const CACHE_FLAGS: &str = "\
                          remote (validated byte-for-byte, then installed
                          locally), and freshly sealed suites are pushed back —
                          requires --cache for the local tier";
-
-/// The shared description of `--partition-size`, verbatim wherever it
-/// applies.
-const PARTITION_FLAG: &str = "\
-  --partition-size N|auto  examine-batch granularity for the streaming engine
-                         (`auto` adapts to observed throughput); scheduling
-                         only — it never changes the suite";
 
 /// The shared description of `--progress`, verbatim wherever it
 /// applies.
@@ -84,15 +77,15 @@ example:
 usage: transform synthesize --axiom A|--all --bound N [--mtm M]
            [--max-threads T] [--fences] [--rmw] [--timeout-secs S]
            [--quiet] [--jobs N|auto] [--backend explicit|relational]
-           [--partition-size N|auto] [--progress[=human|json]]
-           [--cache DIR] [--cache-url URL] [--out FILE]
+           [--progress[=human|json]] [--cache DIR] [--cache-url URL]
+           [--out FILE]
 
 Synthesize the per-axiom spanning-set suite of enhanced litmus tests at
 an instruction bound — one axiom, or with --all every axiom of the MTM
 through one fused run (the program space is enumerated and examined
 once for every axiom; no shared plan is built before workers start, and
-each axiom's suite is sealed into the cache as the last chunk retires).
-Every suite is byte-identical for every --jobs and --partition-size.
+each axiom's suite is sealed into the cache as the last batch retires).
+Every suite is byte-identical for every --jobs.
 
 flags:
   --axiom A              the MTM axiom to violate
@@ -108,7 +101,6 @@ flags:
   --backend B            `explicit` or `relational` (SAT)
   --quiet                suppress the ELT listing
   --out FILE             write the ELTs to FILE instead of stdout
-{PARTITION_FLAG}
 {PROGRESS_FLAG}
 
 caching:
@@ -122,8 +114,7 @@ example:
         "compare" => format!(
             "\
 usage: transform compare [--bound N] [--timeout-secs S] [--jobs N|auto]
-           [--partition-size N|auto] [--progress[=human|json]]
-           [--cache DIR] [--cache-url URL]
+           [--progress[=human|json]] [--cache DIR] [--cache-url URL]
 
 The paper's §VI-B comparison: synthesize every x86t_elt per-axiom suite
 (one fused run — the program space is enumerated once for all axioms)
@@ -135,7 +126,6 @@ flags:
   --timeout-secs S       budget for the whole fused run (default 300);
                          axioms that finished before the cut stay complete
   --jobs N|auto          worker threads (`auto` = all cores)
-{PARTITION_FLAG}
 {PROGRESS_FLAG}
 
 caching:

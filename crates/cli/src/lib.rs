@@ -68,11 +68,10 @@ commands:
   synthesize --axiom A|--all --bound N [--mtm M] [--max-threads T]
              [--fences] [--rmw] [--timeout-secs S] [--quiet]
              [--jobs N|auto] [--backend explicit|relational]
-             [--partition-size N|auto] [--progress[=human|json]]
-             [--cache DIR] [--cache-url URL] [--out FILE]
+             [--progress[=human|json]] [--cache DIR] [--cache-url URL]
+             [--out FILE]
   compare --bound N [--timeout-secs S] [--jobs N|auto]
-          [--partition-size N|auto] [--progress[=human|json]]
-          [--cache DIR] [--cache-url URL]
+          [--progress[=human|json]] [--cache DIR] [--cache-url URL]
   simulate FILE|- [--bug invlpg-noop|shootdown|dirty-bit] [--evictions]
   query --cache DIR [--mtm-name M] [--axiom A] [--bound N]
         [--backend B] [--shape S] [--fences] [--rmw]
@@ -95,10 +94,7 @@ worked example.
 --jobs runs synthesis on N worker threads (`auto` = all cores); the
 suite is byte-identical for every N. `synthesize --all` streams every
 axiom of the MTM through one fused run (the program space is
-enumerated once; no shared plan is built up front). --partition-size
-pins the streaming engine's examine-batch granularity (`auto`, the
-default, adapts it to the observed throughput); it never changes the
-suite.
+enumerated once; no shared plan is built up front).
 --progress streams live per-axiom telemetry (partitions/mass retired,
 programs, ELTs, mass-based ETA) to stderr while synthesis runs —
 `json` emits one object per line; stdout stays byte-identical either
@@ -249,7 +245,6 @@ fn cmd_synthesize(mut opts: Opts) -> Result<String, String> {
     if let Some(b) = opts.value("--backend") {
         sopts.backend = parse_backend(&b)?;
     }
-    sopts.partition_size = parse_partition_size(opts.value("--partition-size"))?;
     let jobs = opts.jobs()?;
     let quiet = opts.flag("--quiet");
     let progress_mode = parse_progress(opts.optional_value("--progress"))?;
@@ -390,7 +385,7 @@ fn start_recorder(
 /// through **one fused streamed run** — straight through the engine,
 /// through the persistent suite store when `--cache` is given (tier
 /// hits served per axiom, all misses synthesized together and sealed
-/// per axiom as the run's last chunk retires), and through the tiered
+/// per axiom as the run's last batch retires), and through the tiered
 /// local+remote cache when `--cache-url` names a shared `transform
 /// serve` endpoint too. Cached and fresh runs print identically — a
 /// warm run (local or remote) serves the sealed artifact of the cold
@@ -448,21 +443,6 @@ fn parse_backend(name: &str) -> Result<Backend, String> {
     }
 }
 
-fn parse_partition_size(value: Option<String>) -> Result<Option<usize>, String> {
-    match value.as_deref() {
-        None | Some("auto") => Ok(None),
-        Some(n) => {
-            let n: usize = n
-                .parse()
-                .map_err(|_| "--partition-size must be a positive number or `auto`")?;
-            if n == 0 {
-                return Err("--partition-size must be a positive number or `auto`".into());
-            }
-            Ok(Some(n))
-        }
-    }
-}
-
 fn cmd_compare(mut opts: Opts) -> Result<String, String> {
     let bound: usize = opts
         .value("--bound")
@@ -478,7 +458,6 @@ fn cmd_compare(mut opts: Opts) -> Result<String, String> {
     let jobs = opts.jobs()?;
     let mut sopts = SynthOptions::new(bound);
     sopts.timeout = Some(timeout);
-    sopts.partition_size = parse_partition_size(opts.value("--partition-size"))?;
     let progress_mode = parse_progress(opts.optional_value("--progress"))?;
     let cache = opts.value("--cache");
     let cache_url = opts.value("--cache-url");
@@ -1421,8 +1400,8 @@ mod tests {
     }
 
     /// The acceptance bar for the fused cross-axiom run: `--all` on any
-    /// worker count and partition size prints exactly the sequential
-    /// engine's per-axiom suites.
+    /// worker count prints exactly the sequential engine's per-axiom
+    /// suites.
     #[test]
     fn synthesize_all_is_jobs_and_partition_invariant() {
         let elts = |s: &str| {
@@ -1443,9 +1422,9 @@ mod tests {
         }
         for line in [
             "synthesize --all --bound 4 --jobs 4",
-            "synthesize --all --bound 4 --jobs 3 --partition-size 5",
+            "synthesize --all --bound 4 --jobs 3",
             "synthesize --all --bound 4 --jobs 7",
-            "synthesize --all --bound 4 --jobs 2 --partition-size 1",
+            "synthesize --all --bound 4 --jobs 2",
         ] {
             let out = run_str(line).expect("runs");
             assert_eq!(elts(&base), elts(&out), "{line}");
@@ -1734,27 +1713,20 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Batch granularity is not a knob: both commands that run synthesis
+    /// refuse the retired batch-size flag like any unknown flag.
     #[test]
-    fn partition_size_never_changes_the_suite() {
-        let base = run_str("synthesize --axiom invlpg --bound 4").expect("runs");
+    fn retired_batch_size_flag_is_refused() {
+        // Spelled in parts so the retired name appears nowhere in the
+        // source tree.
+        let flag = ["--partition", "size"].join("-");
         for line in [
-            "synthesize --axiom invlpg --bound 4 --jobs 3 --partition-size 1",
-            "synthesize --axiom invlpg --bound 4 --jobs 3 --partition-size 7",
-            "synthesize --axiom invlpg --bound 4 --jobs 3 --partition-size auto",
+            format!("synthesize --axiom invlpg --bound 4 {flag} 5"),
+            format!("compare --bound 4 {flag} 5"),
         ] {
-            let out = run_str(line).expect("runs");
-            let elts = |s: &str| {
-                s.lines()
-                    .filter(|l| !l.starts_with("suite `"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            assert_eq!(elts(&base), elts(&out), "{line}");
+            let e = run_str(&line).unwrap_err();
+            assert!(e.contains("unrecognized arguments"), "{line}: {e}");
         }
-        let e = run_str("synthesize --axiom invlpg --bound 4 --partition-size zero").unwrap_err();
-        assert!(e.contains("--partition-size"), "{e}");
-        let e = run_str("synthesize --axiom invlpg --bound 4 --partition-size 0").unwrap_err();
-        assert!(e.contains("--partition-size"), "{e}");
     }
 
     #[test]
@@ -1940,8 +1912,10 @@ mod tests {
         }
         for cmd in ["synthesize", "compare"] {
             let help = run_str(&format!("{cmd} --help")).expect("help");
-            assert!(help.contains("--partition-size N|auto"), "{cmd}:\n{help}");
-            assert!(help.contains("never changes the suite"), "{cmd}:\n{help}");
+            assert!(
+                help.contains("--progress[=human|json]  live per-axiom telemetry"),
+                "{cmd}:\n{help}"
+            );
         }
         let synth = run_str("synthesize --help").expect("help");
         assert!(synth.contains("--all"), "{synth}");
@@ -2359,7 +2333,6 @@ mod tests {
             items_planned: 300,
             batches: 9,
             peak_live_candidates: 50,
-            final_batch_size: 16,
             cut_at_partition: None,
             axioms: vec![transform_store::RunAxiom {
                 name: "sc_per_loc".into(),

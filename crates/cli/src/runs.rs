@@ -357,9 +357,8 @@ pub fn render_run_show(journal: &RunJournal) -> String {
         m.items_planned,
     ));
     out.push_str(&format!(
-        "  batches {} (final size {})  peak live {}{}\n",
+        "  batches {}  peak live {}{}\n",
         m.batches,
-        m.final_batch_size,
         m.peak_live_candidates,
         match m.cut_at_partition {
             Some(at) => format!("  CUT at partition {at}"),
@@ -548,7 +547,6 @@ mod tests {
             items_planned: 21,
             batches: 3,
             peak_live_candidates: 5,
-            final_batch_size: 8,
             cut_at_partition: None,
             axioms: vec![
                 RunAxiom {

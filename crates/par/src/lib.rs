@@ -27,8 +27,8 @@
 //!    [`transform_synth::Examiner`]; with the
 //!    [`SynthBackend::Relational`] backend that examiner owns one
 //!    incremental SAT solver per axiom (`tsat` solving under
-//!    assumptions) serving every program in the batch, and batch
-//!    granularity autotunes to the observed examination rate. Workers
+//!    assumptions) serving every program in the batch; each admitted
+//!    partition is exactly one batch. Workers
 //!    claim emitted ELT keys in a concurrent streaming dedup set
 //!    ([`dedup::KeySet`]) as results stream in.
 //! 2. **Merge** — per-item results are re-ordered by plan index and
@@ -37,10 +37,10 @@
 //!
 //! One [`Run`] covers one axiom or many: the synthesis plan and
 //! candidate generation are axiom-independent, so a run enumerates
-//! every partition once and queues each admitted chunk as one examine
+//! every partition once and queues its admitted items as one examine
 //! batch, examined once per program for every axiom — no shared plan is
 //! materialized before workers start, and every axiom's
-//! [`SuiteSink::run_done`] fires when the last chunk retires (the
+//! [`SuiteSink::run_done`] fires when the last batch retires (the
 //! per-axiom seal + push-on-seal hook). There is one partition per root
 //! shape and no finer split; each partition's mass — the exact
 //! shape-combination node count of its subtree — drives progress and
@@ -103,7 +103,7 @@ pub fn space_for(opts: &SynthOptions, _jobs: usize) -> EnumSpace {
 /// Receives a suite's members as parallel shards finish, instead of the
 /// orchestrator collecting them in memory.
 ///
-/// A run has one sink per axiom; each examined chunk reports one shard
+/// A run has one sink per axiom; each examined batch reports one shard
 /// to every axiom's sink. The persistent suite store
 /// (`transform-store`) implements this with an in-memory spool that
 /// its seal encodes into the sealed entry; a collecting
@@ -179,7 +179,7 @@ pub struct Run<'a> {
     pub mtm: &'a Mtm,
     /// The axioms to synthesize, each a member of `mtm`.
     pub axioms: &'a [&'a str],
-    /// Enumeration bound, backend, timeout, and batch granularity.
+    /// Enumeration bound, backend, and timeout.
     pub opts: &'a SynthOptions,
     /// Worker threads (`0` is treated as `1`).
     pub jobs: usize,

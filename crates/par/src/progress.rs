@@ -111,7 +111,7 @@ pub enum JournalEventKind {
     /// partition.
     Cut,
     /// The run drained: `a` = programs admitted, `b` = plan items,
-    /// `c` = batches (chunks) created.
+    /// `c` = batches created.
     RunEnd,
     /// A store tier sealed `axiom`'s suite: `a` = sealed entry bytes.
     Seal,
@@ -223,7 +223,6 @@ pub struct ProgressState {
     pub(crate) peak_live_candidates: AtomicUsize,
     pub(crate) batches: AtomicUsize,
     pub(crate) cut_at_partition: AtomicUsize,
-    pub(crate) final_batch_size: AtomicUsize,
     /// The run journal, when enabled ([`ProgressState::with_journal`]):
     /// timestamped span events appended by the pipeline's lock-held
     /// transitions and drained once by [`ProgressState::take_journal`].
@@ -273,7 +272,6 @@ impl ProgressState {
             peak_live_candidates: AtomicUsize::new(0),
             batches: AtomicUsize::new(0),
             cut_at_partition: AtomicUsize::new(NO_CUT),
-            final_batch_size: AtomicUsize::new(0),
         }
     }
 
@@ -374,7 +372,6 @@ impl ProgressState {
             peak_live_candidates: self.peak_live_candidates.load(ORD),
             batches: self.batches.load(ORD),
             cut_at_partition: (cut != NO_CUT).then_some(cut),
-            final_batch_size: self.final_batch_size.load(ORD),
             axioms: self
                 .axioms
                 .iter()
@@ -434,13 +431,11 @@ pub struct ProgressSnapshot {
     /// Peak of [`ProgressSnapshot::live_candidates`] over the run,
     /// deadline-discarded tails included.
     pub peak_live_candidates: usize,
-    /// Examine batches created: one per admitted chunk, each examined
-    /// for every axiom.
+    /// Examine batches created: one per partition that admits a plan
+    /// item, each examined for every axiom.
     pub batches: usize,
     /// First partition the deadline cut, if any.
     pub cut_at_partition: Option<usize>,
-    /// The autotuner's current batch size.
-    pub final_batch_size: usize,
     /// Per-axiom counters, in the order given to [`ProgressState::new`].
     pub axioms: Vec<AxiomSnapshot>,
 }

@@ -16,11 +16,11 @@
 //! The synthesis plan is axiom-independent (it keeps write-bearing
 //! canonical first occurrences), and so is candidate generation: only
 //! the final violation filter depends on the axiom. A multi-axiom run
-//! therefore enumerates every partition **once** and queues each
-//! admitted chunk as **one** examine batch, which a multi-axiom
+//! therefore enumerates every partition **once** and queues its
+//! admitted items as **one** examine batch, which a multi-axiom
 //! [`Examiner`] examines once per program for every axiom; the batch's
 //! per-axiom results stream into per-axiom sinks. No shared plan is
-//! materialized before workers start, and the moment the last chunk
+//! materialized before workers start, and the moment the last batch
 //! retires every axiom's [`SuiteSink::run_done`] fires from the pool
 //! (the per-axiom seal + push-on-seal hook).
 //!
@@ -32,8 +32,7 @@
 //! strictly in ordinal order through the admitter — the same
 //! first-occurrence-per-canonical-key scan the sequential planner runs —
 //! so plan indices, dedup outcomes, and therefore every per-axiom suite
-//! are byte-identical to the sequential engine at every worker count
-//! and batch size.
+//! are byte-identical to the sequential engine at every worker count.
 //!
 //! # Deadlines
 //!
@@ -48,15 +47,15 @@
 //! mid-plan stop — but a run whose whole schedule retired before the
 //! expiry stays complete.
 //!
-//! # Autotuned batch granularity
+//! # Batches
 //!
-//! Admitted items are chunked into examine batches. With
-//! `SynthOptions::partition_size = None` the chunk size adapts: each
-//! retired batch reports its items/second, and the tuner sizes the next
-//! batches to a fixed wall-clock slice — cheap bounds get large batches
-//! (incremental-solver reuse), expensive ones get small, stealable
-//! batches. A fixed size pins the granularity instead. Neither changes
-//! any result, only scheduling.
+//! Each admitted partition's plan items are queued as exactly one
+//! examine batch, so every item in a batch shares its first-thread
+//! shape (the prefix affinity that makes relational solver reuse pay).
+//! Partitions are small: at bound 6 the 2,584 plan items form 500
+//! batches, the largest of 92 items. Batching is pure scheduling: it
+//! never changes a suite, and the deadline still cuts mid-batch because
+//! [`Examiner::examine_chunk`] polls it before every program.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::{Arc, Condvar, Mutex};
@@ -88,9 +87,10 @@ pub struct StreamMetrics {
     /// First partition cut by the deadline (`None`: enumeration ran to
     /// completion). Everything below it was fully planned.
     pub cut_at_partition: Option<usize>,
-    /// Examine batches created — one per admitted chunk, each examined
-    /// for every axiom (a deadline cut abandons queued batches, which
-    /// stay counted here but produce no shard stats).
+    /// Examine batches created — one per partition that admits a plan
+    /// item, each examined for every axiom (a deadline cut abandons
+    /// queued batches, which stay counted here but produce no shard
+    /// stats).
     pub batches: usize,
     /// Peak number of simultaneously materialized candidate programs
     /// (enumerated but not yet examined, or dropped) —
@@ -103,8 +103,6 @@ pub struct StreamMetrics {
     /// materialization, and the discarded tail leaves the live count
     /// the moment it is dropped.
     pub peak_live_candidates: usize,
-    /// The tuner's final batch size.
-    pub final_batch_size: usize,
 }
 
 impl StreamMetrics {
@@ -120,7 +118,6 @@ impl StreamMetrics {
             cut_at_partition: snap.cut_at_partition,
             batches: snap.batches,
             peak_live_candidates: snap.peak_live_candidates,
-            final_batch_size: snap.final_batch_size,
         }
     }
 }
@@ -171,100 +168,10 @@ impl Admitter {
     }
 }
 
-/// Wall-clock slice one examine batch should fill.
-const TARGET_BATCH: Duration = Duration::from_millis(50);
-/// Batch-size clamp (in items) and the pre-measurement default.
-const MIN_BATCH: usize = 8;
-const MAX_BATCH: usize = 8192;
-const DEFAULT_BATCH: usize = 64;
-/// EWMA smoothing for the observed examination rate.
-const EWMA_ALPHA: f64 = 0.3;
-
-/// Static examination-cost proxy of one plan item: exponential in the
-/// program's event count, because the candidate-execution count a
-/// [`Examiner`] walks grows with the interleavings of those events —
-/// a bound-6 item is worth many bound-4 items, not one more. The
-/// absolute scale is irrelevant (the tuner calibrates weight/second
-/// from measurements); only the ranking matters.
-pub(crate) fn item_weight(item: &WorkItem) -> u64 {
-    1u64 << item.program.size().min(24)
-}
-
-/// Adapts examine-batch granularity to the measured examination cost.
-///
-/// Batches are sized by *mass* (summed [`item_weight`]), not by item
-/// count: the tuner smooths the observed examination weight/second and
-/// aims each batch at the weight filling [`TARGET_BATCH`], so a chunk
-/// of cheap small-bound items becomes one large batch while the same
-/// item count of expensive deep items splits into small, stealable
-/// ones. A fixed `partition_size` still pins the granularity in items
-/// (the documented knob). Neither changes any result, only scheduling.
-struct Tuner {
-    fixed: Option<usize>,
-    /// Examination weight per second, exponentially smoothed.
-    rate: Option<f64>,
-    /// Mean static weight of one plan item, exponentially smoothed —
-    /// only for rendering the equivalent batch size in items.
-    per_item: Option<f64>,
-}
-
-fn ewma(prev: Option<f64>, sample: f64) -> f64 {
-    match prev {
-        Some(prev) => prev + EWMA_ALPHA * (sample - prev),
-        None => sample,
-    }
-}
-
-impl Tuner {
-    fn new(fixed: Option<usize>) -> Tuner {
-        Tuner {
-            fixed,
-            rate: None,
-            per_item: None,
-        }
-    }
-
-    /// The weight one batch should carry to fill the target slice, or
-    /// `None` before the first measurement / with a fixed item count.
-    fn target_weight(&self) -> Option<f64> {
-        if self.fixed.is_some() {
-            return None;
-        }
-        self.rate.map(|rate| rate * TARGET_BATCH.as_secs_f64())
-    }
-
-    /// The equivalent batch size in items — the fixed size when pinned,
-    /// the measurement-derived estimate otherwise (progress reporting
-    /// and the pre-measurement default).
-    fn batch_size(&self) -> usize {
-        if let Some(n) = self.fixed {
-            return n.max(1);
-        }
-        match (self.target_weight(), self.per_item) {
-            (Some(target), Some(per_item)) => {
-                ((target / per_item.max(1e-9)) as usize).clamp(MIN_BATCH, MAX_BATCH)
-            }
-            _ => DEFAULT_BATCH,
-        }
-    }
-
-    /// One retired batch: `weight` is the summed [`item_weight`] of the
-    /// `items` actually examined (the prefix, on a deadline cut).
-    fn observe(&mut self, items: usize, weight: u64, elapsed: Duration) {
-        if self.fixed.is_some() || items == 0 {
-            return;
-        }
-        let secs = elapsed.as_secs_f64().max(1e-9);
-        self.rate = Some(ewma(self.rate, weight as f64 / secs));
-        self.per_item = Some(ewma(self.per_item, weight as f64 / items as f64));
-    }
-}
-
-/// A chunk of plan items examined for every axiom of the run on one
-/// [`Examiner`] (for the relational backend, one incremental solver
-/// per axiom). Chunks never span partitions, so every item in a batch
-/// shares its first-thread shape — the prefix affinity that makes
-/// solver reuse pay.
+/// One admitted partition's plan items, examined for every axiom of the
+/// run on one [`Examiner`] (for the relational backend, one incremental
+/// solver per axiom). Every item in a batch shares its first-thread
+/// shape — the prefix affinity that makes solver reuse pay.
 struct Batch {
     shard: usize,
     items: Vec<WorkItem>,
@@ -274,11 +181,6 @@ struct Batch {
 struct Retired {
     /// Items in the batch; all of them leave the live count.
     len: usize,
-    /// Items examined for at least one axiom (a prefix, on a deadline
-    /// cut).
-    examined: usize,
-    /// Summed [`item_weight`] of the examined items.
-    weight: u64,
     /// Per run axiom: items examined and suite members found.
     per_axiom: Vec<(usize, usize)>,
     /// The batch's wall-clock, shared by every axiom it examined.
@@ -309,9 +211,9 @@ struct State {
     expired: bool,
     admitter: Admitter,
     exam: VecDeque<Batch>,
-    /// Next chunk ordinal — the shard id every axiom's stats carry.
+    /// Next batch ordinal — the shard id every axiom's stats carry.
     next_shard: usize,
-    /// Batches (chunks) created.
+    /// Batches created.
     batches: usize,
     /// Outstanding (created, not yet retired) batches.
     remaining: usize,
@@ -323,7 +225,6 @@ struct State {
     peak_live: usize,
     /// Estimated subtree mass of the partitions admitted so far.
     mass_retired: u64,
-    tuner: Tuner,
 }
 
 impl State {
@@ -380,7 +281,6 @@ impl<'s> Pipeline<'s> {
         progress: Option<&Arc<ProgressState>>,
         deadline: Option<Instant>,
         jobs: usize,
-        fixed_batch: Option<usize>,
     ) -> Self {
         let progress = match progress {
             Some(p) => Arc::clone(p),
@@ -399,9 +299,6 @@ impl<'s> Pipeline<'s> {
             .partitions_total
             .store(space.partition_count(), Relaxed);
         progress.mass_total.store(space.total_mass(), Relaxed);
-        progress
-            .final_batch_size
-            .store(Tuner::new(fixed_batch).batch_size(), Relaxed);
         for &slot in &slots {
             progress.set_axiom_state(slot, AxiomState::Running);
         }
@@ -428,7 +325,6 @@ impl<'s> Pipeline<'s> {
                 live: 0,
                 peak_live: 0,
                 mass_retired: 0,
-                tuner: Tuner::new(fixed_batch),
             }),
             cv: Condvar::new(),
         }
@@ -453,7 +349,6 @@ impl<'s> Pipeline<'s> {
         if let Some(cut) = st.cut_at {
             p.cut_at_partition.store(cut, Relaxed);
         }
-        p.final_batch_size.store(st.tuner.batch_size(), Relaxed);
     }
 
     fn past_deadline(&self) -> bool {
@@ -547,7 +442,7 @@ impl<'s> Pipeline<'s> {
                 }
                 Some(keyed) => {
                     let delivered = keyed.len();
-                    let mut items = st.admitter.admit(keyed);
+                    let items = st.admitter.admit(keyed);
                     st.live -= delivered - items.len(); // dropped by dedup
                     let mass = self.space.masses()[st.frontier];
                     st.mass_retired = st.mass_retired.saturating_add(mass);
@@ -558,35 +453,11 @@ impl<'s> Pipeline<'s> {
                         mass,
                         0,
                     );
-                    let target = st.tuner.target_weight();
-                    while !items.is_empty() {
-                        let take = match target {
-                            // Greedy mass-weighted split: take items
-                            // until the chunk's examination weight
-                            // reaches the calibrated 50ms target.
-                            Some(tw) => {
-                                let mut weight = 0.0f64;
-                                let mut n = 0usize;
-                                while n < items.len()
-                                    && n < MAX_BATCH
-                                    && (n < MIN_BATCH || weight < tw)
-                                {
-                                    weight += item_weight(&items[n]) as f64;
-                                    n += 1;
-                                }
-                                n
-                            }
-                            None => st.tuner.batch_size(),
-                        };
-                        let rest = items.split_off(take.min(items.len()).max(1));
-                        let chunk = std::mem::replace(&mut items, rest);
+                    if !items.is_empty() {
+                        // One batch per partition, examined for every axiom.
                         let shard = st.next_shard;
                         st.next_shard += 1;
-                        // One batch per chunk, examined for every axiom.
-                        st.exam.push_back(Batch {
-                            shard,
-                            items: chunk,
-                        });
+                        st.exam.push_back(Batch { shard, items });
                         st.batches += 1;
                         st.remaining += 1;
                     }
@@ -624,8 +495,6 @@ impl<'s> Pipeline<'s> {
         let mut st = self.state.lock().expect("pipeline lock is never poisoned");
         st.remaining -= 1;
         st.live = st.live.saturating_sub(retired.len);
-        st.tuner
-            .observe(retired.examined, retired.weight, retired.elapsed);
         for (&slot, &(examined, found)) in self.slots.iter().zip(&retired.per_axiom) {
             self.progress.record(
                 JournalEventKind::BatchExamined,
@@ -765,13 +634,8 @@ fn examine_batch(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, batch: &Batch) -> Re
             .push(stats);
         ctx.sinks[ai].shard_done(stats, records);
     }
-    // The tuner weighs the longest examined prefix (on a relational
-    // deadline cut, later axioms stop short of earlier ones).
-    let examined = per_axiom.iter().map(|&(items, _)| items).max().unwrap_or(0);
     Retired {
         len: batch.items.len(),
-        examined,
-        weight: batch.items[..examined].iter().map(item_weight).sum(),
         per_axiom,
         elapsed: start.elapsed(),
         cut,
@@ -787,7 +651,7 @@ fn finish_run(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>) {
 
 /// An axiom's schedule retired cleanly: assemble its final stats and
 /// fire its sink's completion hook *now*, from the pool — the seal (and
-/// push) of a cached run happens as the last chunk retires, not after
+/// push) of a cached run happens as the last batch retires, not after
 /// the workers join.
 fn finish_axiom(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, ai: usize) {
     let mut shards = ctx.shard_stats[ai]
@@ -817,8 +681,8 @@ fn finish_axiom(pipeline: &Pipeline<'_>, ctx: &RunCtx<'_>, ai: usize) {
 /// Runs the fused enumerate-while-examining pipeline for the run's
 /// axioms (one or many) on `run.jobs` workers, streaming retired
 /// batches into the per-axiom sinks. Partitions are enumerated once and
-/// each admitted chunk is examined once for every axiom; every axiom's
-/// `run_done` fires when the last chunk retires. Returns per-axiom
+/// each admitted partition is examined once for every axiom; every
+/// axiom's `run_done` fires when the last batch retires. Returns per-axiom
 /// counters (in `axioms` order) and the run's scheduling metrics.
 ///
 /// # Panics
@@ -845,14 +709,7 @@ pub(crate) fn run_fused(
     let deadline = opts.timeout.map(|t| start + t);
     let space = EnumSpace::new(&opts.enumeration);
     let branch_co_pa = branches_co_pa(mtm);
-    let pipeline = Pipeline::new(
-        &space,
-        axioms,
-        run.progress,
-        deadline,
-        jobs,
-        opts.partition_size,
-    );
+    let pipeline = Pipeline::new(&space, axioms, run.progress, deadline, jobs);
     pipeline.progress.record(
         JournalEventKind::RunStart,
         None,
@@ -998,7 +855,7 @@ mod tests {
         let eo = enum_opts(4);
         let space = EnumSpace::new(&eo);
         assert!(space.partition_count() >= 3, "space too small for the test");
-        let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None);
+        let pipeline = Pipeline::new(&space, &["a"], None, None, 2);
         // Claim the first three enumeration tasks.
         for expect in 0..3 {
             match pipeline.next_task() {
@@ -1021,9 +878,9 @@ mod tests {
         assert_eq!(queued, expected_items);
     }
 
-    /// A fused three-axiom pipeline queues each admitted chunk once: one
-    /// batch per chunk, whatever the axiom count, covering the plan
-    /// exactly once.
+    /// A fused three-axiom pipeline queues each admitted partition once:
+    /// one batch per partition that admits a plan item, whatever the
+    /// axiom count, covering the plan exactly once.
     #[test]
     fn fused_pipeline_queues_one_batch_per_chunk() {
         let eo = enum_opts(4);
@@ -1036,7 +893,6 @@ mod tests {
             None,
             None,
             space.partition_count(),
-            None,
         );
         for ordinal in 0..space.partition_count() {
             match pipeline.next_task() {
@@ -1047,19 +903,33 @@ mod tests {
         for ordinal in 0..space.partition_count() {
             pipeline.resolve(ordinal, Some(space.enumerate_keyed(ordinal)));
         }
+        // The reference: each partition's admitted items, in order,
+        // with the partitions that admit nothing left out.
+        let mut reference = Admitter::new();
+        let expected: Vec<Vec<usize>> = (0..space.partition_count())
+            .map(|p| reference.admit(space.enumerate_keyed(p)))
+            .filter(|items| !items.is_empty())
+            .map(|items| items.iter().map(|i| i.index).collect())
+            .collect();
+        assert!(expected.len() > 1, "space too small for the test");
         let st = pipeline.state.into_inner().expect("lock");
-        assert_eq!(st.exam.len(), st.batches, "one batch per chunk");
+        assert_eq!(
+            st.batches,
+            expected.len(),
+            "one batch per admitting partition"
+        );
+        assert_eq!(st.exam.len(), st.batches);
         assert_eq!(st.remaining, st.batches);
         let shards: Vec<usize> = st.exam.iter().map(|b| b.shard).collect();
         assert_eq!(shards, (0..st.batches).collect::<Vec<_>>());
-        // The queued batches cover the admitted plan once, in order.
-        let indices: Vec<usize> = st
+        // The queued batches are the partitions' items, in plan order.
+        let batches: Vec<Vec<usize>> = st
             .exam
             .iter()
-            .flat_map(|b| b.items.iter().map(|i| i.index))
+            .map(|b| b.items.iter().map(|i| i.index).collect())
             .collect();
-        assert_eq!(indices, (0..st.admitter.next_index).collect::<Vec<_>>());
-        assert_eq!(st.live, indices.len());
+        assert_eq!(batches, expected);
+        assert_eq!(st.live, st.admitter.next_index);
     }
 
     /// Regression for the former "best-effort on timed-out runs" peak
@@ -1072,7 +942,7 @@ mod tests {
         let eo = enum_opts(4);
         let space = EnumSpace::new(&eo);
         assert!(space.partition_count() >= 3, "space too small for the test");
-        let pipeline = Pipeline::new(&space, &["a"], None, None, 3, None);
+        let pipeline = Pipeline::new(&space, &["a"], None, None, 3);
         for expect in 0..3 {
             match pipeline.next_task() {
                 Some(Task::Enumerate(ord)) => assert_eq!(ord, expect),
@@ -1119,7 +989,7 @@ mod tests {
         let eo = enum_opts(4);
         let space = EnumSpace::new(&eo);
         let masses = space.masses().to_vec();
-        let pipeline = Pipeline::new(&space, &["a"], None, None, 2, None);
+        let pipeline = Pipeline::new(&space, &["a"], None, None, 2);
         assert_eq!(pipeline.progress.snapshot().mass_total, space.total_mass());
         for ordinal in 0..space.partition_count() {
             loop {
@@ -1132,8 +1002,6 @@ mod tests {
                         // Examination has pop priority; retire it untouched.
                         pipeline.batch_done(&Retired {
                             len: b.items.len(),
-                            examined: 0,
-                            weight: 0,
                             per_axiom: vec![(0, 0)],
                             elapsed: Duration::ZERO,
                             cut: false,
@@ -1200,46 +1068,5 @@ mod tests {
                 assert_eq!(cuts, vec![cut as u64], "{label}");
             }
         }
-    }
-
-    #[test]
-    fn tuner_targets_the_batch_slice() {
-        let mut tuner = Tuner::new(None);
-        assert_eq!(tuner.batch_size(), DEFAULT_BATCH);
-        assert!(
-            tuner.target_weight().is_none(),
-            "uncalibrated until observed"
-        );
-        // 1000 items of uniform weight 32 in one second → rate 32000
-        // weight/sec, 32 weight/item → 50 items per 50 ms slice.
-        tuner.observe(1000, 32_000, Duration::from_secs(1));
-        assert_eq!(tuner.batch_size(), 50);
-        let tw = tuner.target_weight().expect("calibrated");
-        assert!((tw - 1600.0).abs() < 1e-6, "50 ms of 32000 weight/sec");
-        // Very slow items clamp to the minimum, very fast to the maximum.
-        let mut slow = Tuner::new(None);
-        slow.observe(1, 16, Duration::from_secs(10));
-        assert_eq!(slow.batch_size(), MIN_BATCH);
-        let mut fast = Tuner::new(None);
-        fast.observe(10_000_000, 10_000_000, Duration::from_millis(1));
-        assert_eq!(fast.batch_size(), MAX_BATCH);
-        // A fixed size ignores observations and disables weight targets.
-        let mut fixed = Tuner::new(Some(5));
-        fixed.observe(1000, 32_000, Duration::from_secs(1));
-        assert_eq!(fixed.batch_size(), 5);
-        assert!(fixed.target_weight().is_none());
-    }
-
-    /// Heavier programs shrink the batch: after observing a heavy mix,
-    /// the same weight target takes fewer items per chunk.
-    #[test]
-    fn tuner_weights_shrink_batches_for_heavy_items() {
-        let mut light = Tuner::new(None);
-        let mut heavy = Tuner::new(None);
-        // Same wall-clock rate in weight/sec, but heavy items carry 16×
-        // the weight each — so a 50 ms slice holds 16× fewer of them.
-        light.observe(16_000, 512_000, Duration::from_secs(1));
-        heavy.observe(1_000, 512_000, Duration::from_secs(1));
-        assert_eq!(light.batch_size(), 16 * heavy.batch_size());
     }
 }

@@ -121,43 +121,17 @@ fn parallel_explicit_and_relational_backends_agree_on_programs() {
 }
 
 #[test]
-fn partition_sizes_never_change_the_suite() {
-    // The streaming pipeline's batch granularity — fixed at any value or
-    // autotuned — is pure scheduling: the suite must stay byte-identical
-    // to the sequential engine.
-    let mtm = x86t_elt();
-    let reference = {
-        let o = opts(4, Backend::Explicit);
-        fingerprint(&synthesize_suite(&mtm, "sc_per_loc", &o))
-    };
-    for partition_size in [None, Some(1), Some(7), Some(100_000)] {
-        for jobs in [2usize, 8] {
-            let mut o = opts(4, Backend::Explicit);
-            o.partition_size = partition_size;
-            let suite = fused(&mtm, "sc_per_loc", &o, jobs);
-            assert_eq!(
-                reference,
-                fingerprint(&suite),
-                "partition_size={partition_size:?} jobs={jobs}"
-            );
-        }
-    }
-}
-
-#[test]
 fn streamed_bound_5_suite_is_byte_identical_to_sequential() {
     // The acceptance bar for the fused pipeline: an engine-level run at
-    // bound 5 reproduces the sequential suite exactly, under several
-    // partition shapes (worker counts) and a pinned partition size.
+    // bound 5 reproduces the sequential suite exactly, at several worker
+    // counts.
     let mtm = x86t_elt();
     let o = opts(5, Backend::Explicit);
     let sequential = synthesize_suite(&mtm, "sc_per_loc", &o);
     assert!(!sequential.elts.is_empty());
-    for (jobs, partition_size) in [(4, None), (3, None), (4, Some(13))] {
-        let mut o = opts(5, Backend::Explicit);
-        o.partition_size = partition_size;
+    for jobs in [4usize, 3] {
         let streamed = fused(&mtm, "sc_per_loc", &o, jobs);
-        let tag = format!("jobs={jobs} partition_size={partition_size:?}");
+        let tag = format!("jobs={jobs}");
         assert_eq!(fingerprint(&sequential), fingerprint(&streamed), "{tag}");
         assert_eq!(sequential.stats.programs, streamed.stats.programs, "{tag}");
         assert_eq!(
@@ -174,24 +148,19 @@ fn streamed_bound_5_suite_is_byte_identical_to_sequential() {
 
 #[test]
 fn partition_shapes_are_byte_identical_on_both_backends() {
-    // The partition split (set by the worker count) and the batch size
-    // are pure scheduling: same suite, byte for byte, as the
-    // sequential engine — on both backends.
+    // The order in which partitions are enumerated and their batches
+    // examined (set by the worker count) is pure scheduling: same
+    // suite, byte for byte, as the sequential engine — on both
+    // backends.
     let mtm = x86t_elt();
     for backend in [Backend::Explicit, Backend::Relational] {
         let reference = {
             let o = opts(4, backend);
             fingerprint(&synthesize_suite(&mtm, "invlpg", &o))
         };
-        for (jobs, partition_size) in [(4, None), (7, None), (4, Some(3))] {
-            let mut o = opts(4, backend);
-            o.partition_size = partition_size;
-            let suite = fused(&mtm, "invlpg", &o, jobs);
-            assert_eq!(
-                reference,
-                fingerprint(&suite),
-                "{backend:?} jobs={jobs} partition_size={partition_size:?}"
-            );
+        for jobs in [4usize, 7] {
+            let suite = fused(&mtm, "invlpg", &opts(4, backend), jobs);
+            assert_eq!(reference, fingerprint(&suite), "{backend:?} jobs={jobs}");
         }
     }
 }
@@ -310,40 +279,23 @@ proptest! {
         prop_assert_eq!(reference, fingerprint(&suite), "jobs={}", jobs);
     }
 
-    /// Jobs × partition size together: still the sequential suite.
+    /// Any job count on a second axiom: still the sequential suite.
     #[test]
-    fn job_and_partition_size_grid_stays_deterministic(
-        jobs in 2usize..12,
-        partition_size in 1usize..64,
-    ) {
+    fn job_grid_stays_deterministic(jobs in 2usize..12) {
         let mtm = x86t_elt();
-        let mut o = opts(4, Backend::Explicit);
-        o.partition_size = Some(partition_size);
-        let reference = {
-            let o = opts(4, Backend::Explicit);
-            fingerprint(&synthesize_suite(&mtm, "invlpg", &o))
-        };
+        let o = opts(4, Backend::Explicit);
+        let reference = fingerprint(&synthesize_suite(&mtm, "invlpg", &o));
         let suite = fused(&mtm, "invlpg", &o, jobs);
-        prop_assert_eq!(
-            reference,
-            fingerprint(&suite),
-            "jobs={} partition_size={}",
-            jobs,
-            partition_size
-        );
+        prop_assert_eq!(reference, fingerprint(&suite), "jobs={}", jobs);
     }
 
-    /// Jobs × partition size, through the fused all-axiom run: every
-    /// per-axiom suite stays the sequential one.
+    /// Any job count through the fused all-axiom run, whose partitions
+    /// each queue one batch for every axiom: every per-axiom suite stays
+    /// the sequential one.
     #[test]
-    fn fused_all_jobs_partition_grid_stays_deterministic(
-        jobs in 2usize..10,
-        partition_size in 0usize..48,
-    ) {
+    fn fused_all_jobs_partition_grid_stays_deterministic(jobs in 2usize..10) {
         let mtm = x86t_elt();
-        let mut o = opts(4, Backend::Explicit);
-        // 0 stands in for "autotune" (the engine takes None).
-        o.partition_size = (partition_size > 0).then_some(partition_size);
+        let o = opts(4, Backend::Explicit);
         let all = fused_all(&mtm, &o, jobs);
         for ax in mtm.axioms() {
             let reference = {
@@ -353,8 +305,8 @@ proptest! {
             prop_assert_eq!(
                 reference,
                 fingerprint(&all[&ax.name]),
-                "{} jobs={} partition_size={:?}",
-                &ax.name, jobs, partition_size
+                "{} jobs={}",
+                &ax.name, jobs
             );
         }
     }

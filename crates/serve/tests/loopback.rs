@@ -529,7 +529,6 @@ fn run_journals_publish_list_and_fetch_over_loopback() {
         items_planned: 17,
         batches: 3,
         peak_live_candidates: 5,
-        final_batch_size: 64,
         cut_at_partition: None,
         axioms: Vec::new(),
     };

@@ -24,11 +24,13 @@ use transform_core::ids::{EventId, Pa, ThreadId, Va};
 use transform_synth::programs::{PaRef, Program, SlotOp};
 use transform_synth::{ShardStats, SuiteRecord, SuiteStats, SynthesizedElt};
 
-/// The store's on-disk format version. Bump on any encoding change;
-/// readers reject other versions and the cache resynthesizes. Version 2
-/// dropped the identity-remap and symmetry-reduction flags from
-/// [`crate::EntryMeta`].
-pub const FORMAT_VERSION: u32 = 2;
+/// The store's on-disk format version, shared by sealed suites, the
+/// suite index and run journals. Bump on any encoding change; readers
+/// reject other versions, the cache resynthesizes and journals are
+/// skipped. Version 2 dropped the identity-remap and symmetry-reduction
+/// flags from [`crate::EntryMeta`]; version 3 dropped the final batch
+/// size from [`crate::RunManifest`].
+pub const FORMAT_VERSION: u32 = 3;
 
 /// A decoding failure: malformed, truncated, or out-of-range bytes.
 #[derive(Clone, Debug, PartialEq, Eq)]

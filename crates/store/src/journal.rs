@@ -165,14 +165,11 @@ pub struct RunManifest {
     pub programs: u64,
     /// Plan items produced by the admitter.
     pub items_planned: u64,
-    /// Examine batches created: one per admitted chunk (journals from
-    /// builds before chunks were examined once for every axiom counted
-    /// one per chunk and axiom).
+    /// Examine batches created: one per partition that admits a plan
+    /// item, each examined for every axiom.
     pub batches: u64,
     /// Peak live candidate programs.
     pub peak_live_candidates: u64,
-    /// The autotuner's final batch size.
-    pub final_batch_size: u64,
     /// First partition the deadline cut, if any.
     pub cut_at_partition: Option<u64>,
     /// Per-axiom final counters.
@@ -213,7 +210,6 @@ impl RunManifest {
             items_planned: snap.items_planned as u64,
             batches: snap.batches as u64,
             peak_live_candidates: snap.peak_live_candidates as u64,
-            final_batch_size: snap.final_batch_size as u64,
             cut_at_partition: snap.cut_at_partition.map(|p| p as u64),
             axioms: snap
                 .axioms
@@ -247,7 +243,6 @@ impl RunManifest {
         e.varint(self.items_planned);
         e.varint(self.batches);
         e.varint(self.peak_live_candidates);
-        e.varint(self.final_batch_size);
         match self.cut_at_partition {
             Some(p) => {
                 e.boolean(true);
@@ -286,14 +281,14 @@ impl RunManifest {
         let items_planned = d.varint()?;
         let batches = d.varint()?;
         let peak_live_candidates = d.varint()?;
-        let final_batch_size = d.varint()?;
         let cut_at_partition = if d.boolean()? {
             Some(d.varint()?)
         } else {
             None
         };
         let axiom_count = d.size_bounded(1 << 16, "run axioms")?;
-        let mut axioms = Vec::with_capacity(axiom_count);
+        // Capped: the count is untrusted until the axioms are read.
+        let mut axioms = Vec::with_capacity(axiom_count.min(64));
         for _ in 0..axiom_count {
             axioms.push(RunAxiom {
                 name: d.string()?,
@@ -321,7 +316,6 @@ impl RunManifest {
             items_planned,
             batches,
             peak_live_candidates,
-            final_batch_size,
             cut_at_partition,
             axioms,
         })
@@ -698,7 +692,6 @@ mod tests {
             items_planned: 9_999,
             batches: 501,
             peak_live_candidates: 127,
-            final_batch_size: 2_174,
             cut_at_partition: match outcome {
                 RunOutcome::Cut => Some(17),
                 _ => None,

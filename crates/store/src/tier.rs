@@ -15,7 +15,7 @@
 //!    local hit, and corrupt remote bytes can never be served.
 //! 3. **Synthesis** — every axiom missing everywhere joins one fused
 //!    streamed run; each suite is sealed locally from the pool when the
-//!    run's last chunk retires, and the sealed bytes are *pushed* to the remote tier
+//!    run's last batch retires, and the sealed bytes are *pushed* to the remote tier
 //!    (best-effort), turning this run's work into a shared asset.
 //!    Sealing and pushing are gated on
 //!    [`transform_par::SuiteSink::run_done`] reporting a completed
@@ -211,7 +211,7 @@ impl TieredCache {
     /// the misses are synthesized together in one fused streamed run —
     /// the program space is enumerated and examined once, and each
     /// missing axiom's suite is sealed (and pushed to the remote,
-    /// best-effort) from the pool as the last chunk retires. A timed-out
+    /// best-effort) from the pool as the last batch retires. A timed-out
     /// axiom is served from its partial run and never sealed
     /// ([`CacheStatus::Uncached`]).
     ///

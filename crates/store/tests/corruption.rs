@@ -159,28 +159,31 @@ fn stale_format_versions_are_rebuilt_not_served() {
     }
     h.assert_detected_and_rebuilt(&bytes, "stale version");
 
-    // The previous format's own layout: its entry header carried two
-    // more `EntryMeta` booleans (identity remaps, symmetry reduction)
-    // after `allow_rmw`. Read as the current layout, those bytes would
-    // shift every later header field — so the version must be refused
-    // before the header is decoded at all.
-    let previous = transform_store::FORMAT_VERSION - 1;
-    let old = previous_layout(&h.clean_bytes, previous);
-    std::fs::write(&h.path, &old).expect("plants the previous layout");
-    match h.store.open_suite(fp) {
-        Err(transform_store::StoreError::Version { found }) => assert_eq!(found, previous),
-        Err(other) => panic!("expected a version error, got {other}"),
-        Ok(_) => panic!("expected a version error, got a reader"),
+    // Older formats' own layouts. Version 1's entry header carried two
+    // more `EntryMeta` booleans (identity remaps off, symmetry reduction
+    // on) after `allow_rmw`; read as the current layout, those bytes
+    // would shift every later header field. Version 2's suite layout is
+    // today's (only the run journal changed), with a valid checksum over
+    // the old version. Either way the version must be refused before the
+    // header is decoded at all.
+    for (version, removed_flags) in [(1u32, &[0u8, 1][..]), (2, &[][..])] {
+        let old = older_layout(&h.clean_bytes, version, removed_flags);
+        std::fs::write(&h.path, &old).expect("plants the older layout");
+        match h.store.open_suite(fp) {
+            Err(transform_store::StoreError::Version { found }) => assert_eq!(found, version),
+            Err(other) => panic!("expected a version error, got {other}"),
+            Ok(_) => panic!("expected a version error, got a reader"),
+        }
+        h.assert_detected_and_rebuilt(&old, &format!("format version {version}"));
     }
-    h.assert_detected_and_rebuilt(&old, "previous format version");
 }
 
-/// Re-encodes a sealed entry in the previous format's layout: `version`
-/// in the version field, the two removed booleans (identity remaps off,
-/// symmetry reduction on) spliced into the header after `allow_rmw`,
-/// and the header length and checksum recomputed so that only the
-/// version and the layout are stale.
-fn previous_layout(clean: &[u8], version: u32) -> Vec<u8> {
+/// Re-encodes a sealed entry in an older format's layout: `version` in
+/// the version field, `removed_flags` (that format's extra `EntryMeta`
+/// booleans) spliced into the header after `allow_rmw`, and the header
+/// length and checksum recomputed so that only the version and the
+/// layout are stale.
+fn older_layout(clean: &[u8], version: u32, removed_flags: &[u8]) -> Vec<u8> {
     use transform_store::codec::{Dec, Enc, Fnv64};
     let (magic, rest) = clean.split_at(8);
     let mut d = Dec::new(&rest[4..]);
@@ -211,7 +214,7 @@ fn previous_layout(clean: &[u8], version: u32) -> Vec<u8> {
     let prefix = prefix.into_bytes();
     assert_eq!(&header[..prefix.len()], prefix.as_slice());
     let mut old_header = prefix.clone();
-    old_header.extend_from_slice(&[0, 1]);
+    old_header.extend_from_slice(removed_flags);
     old_header.extend_from_slice(&header[prefix.len()..]);
 
     let mut e = Enc::new();

@@ -58,12 +58,6 @@ pub struct SynthOptions {
     /// Wall-clock budget; synthesis stops cleanly when exceeded (the
     /// paper's one-week timeout, scaled down).
     pub timeout: Option<Duration>,
-    /// Plan items per examine batch in the streaming parallel engine
-    /// (`transform-par`); `None` autotunes batch granularity from the
-    /// observed examination throughput. Purely a scheduling knob — it
-    /// never changes the synthesized suite, and is excluded from store
-    /// fingerprints like `timeout` and the worker count.
-    pub partition_size: Option<usize>,
 }
 
 impl SynthOptions {
@@ -73,7 +67,6 @@ impl SynthOptions {
             enumeration: EnumOptions::new(bound),
             backend: Backend::Explicit,
             timeout: None,
-            partition_size: None,
         }
     }
 }
